@@ -24,6 +24,14 @@ Counter& AttrCacheMissCounter() {
   return c;
 }
 
+// Absolute, normalized form of a symlink target as written in `dir_path`.
+std::string AbsoluteLinkTarget(const std::string& dir_path, const std::string& target) {
+  if (target.empty() || target[0] != '/') {
+    return NormalizePath(JoinPath(dir_path == "/" ? "" : dir_path, target));
+  }
+  return NormalizePath(target);
+}
+
 }  // namespace
 
 HacFileSystem::HacFileSystem(HacOptions options)
@@ -47,11 +55,6 @@ HacFileSystem::HacFileSystem(HacOptions options)
       }
       return vfs_.ReadFileToString(rec->path);
     });
-  } else if (options_.parallelism > 1) {
-    // Content verification evaluates through the VFS (above), which is not safe for
-    // concurrent planners — parallelism stays off in that mode.
-    propagation_pool_ = std::make_unique<ThreadPool>(options_.parallelism - 1);
-    engine_->SetParallelism(propagation_pool_.get(), options_.parallelism);
   }
 }
 
@@ -362,9 +365,31 @@ Result<void> HacFileSystem::ProhibitTrackedLink(DirMetadata* m, const std::strin
   if (!removed.ok() || removed.value().doc == kInvalidDocId) {
     return OkResult();  // foreign link: nothing to prohibit, no scope change
   }
-  m->links.Prohibit(removed.value().doc);
+  const DocId doc = removed.value().doc;
+  // A second explicit link to the same file (an alias; see Symlink) keeps the file
+  // linked here: the alias takes over as the doc's permanent link and the link set
+  // is unchanged, so nothing is prohibited and nothing propagates.
+  for (const auto& [alias, rec] : m->links.links()) {
+    if (rec.doc != kInvalidDocId) {
+      continue;
+    }
+    auto target = vfs_.ReadLink(JoinPath(dir_path == "/" ? "" : dir_path, alias));
+    if (!target.ok()) {
+      continue;
+    }
+    std::string abs_target = AbsoluteLinkTarget(dir_path, target.value());
+    auto target_doc = registry_.FindByPath(abs_target);
+    if (target_doc.ok() && target_doc.value() == doc) {
+      const std::string alias_name = alias;  // RemoveLink invalidates `alias`
+      (void)m->links.RemoveLink(alias_name);
+      HAC_RETURN_IF_ERROR(m->links.AddLink(alias_name, doc, LinkClass::kPermanent));
+      journal_.Append(JournalOp::kLinkAdded, m->uid, alias_name, abs_target);
+      return OkResult();
+    }
+  }
+  m->links.Prohibit(doc);
   Bitmap delta;
-  delta.Set(removed.value().doc);
+  delta.Set(doc);
   return engine_->NotifyScopeChanged(m->uid, &delta);
 }
 
@@ -530,11 +555,7 @@ Result<void> HacFileSystem::Symlink(const std::string& target, const std::string
   }
   DirMetadata* m = meta.value();
   // Resolve the target to a registered document if possible.
-  std::string abs_target = target;
-  if (abs_target.empty() || abs_target[0] != '/') {
-    abs_target = JoinPath(parent_path == "/" ? "" : parent_path, target);
-  }
-  abs_target = NormalizePath(abs_target);
+  std::string abs_target = AbsoluteLinkTarget(parent_path, target);
   auto doc = registry_.FindByPath(abs_target);
   Bitmap delta;
   if (doc.ok() && !m->links.HasDoc(doc.value())) {

@@ -37,7 +37,6 @@
 #include "src/core/uid_map.h"
 #include "src/index/cba.h"
 #include "src/index/inverted_index.h"
-#include "src/support/thread_pool.h"
 #include "src/vfs/file_system.h"
 
 namespace hac {
@@ -53,14 +52,6 @@ struct HacOptions {
   // content (the two-level search cost model). Off by default — the library's deferred
   // data-consistency semantics (stale links persist until reindex) are the paper's.
   bool verify_results_with_content = false;
-  // Wavefront parallelism for incremental propagation passes: the number of threads
-  // (including the calling one) that plan a topological level concurrently. 1 (the
-  // default) keeps propagation serial; N > 1 makes the facade own a ThreadPool of
-  // N - 1 helpers. Results are byte-identical either way — this is an A/B knob like
-  // `consistency`. Ignored by the eager engine and (at pass time) while semantic
-  // mounts exist or when verify_results_with_content is set: content verification
-  // re-reads files through the single-threaded VFS during evaluation.
-  size_t parallelism = 1;
 };
 
 // Snapshot of a directory's link classification (names relative to the directory).
@@ -168,19 +159,6 @@ class HacFileSystem final : public FsInterface {
   Result<void> EndBatch();
   bool InBatch() const;
   ConsistencyMode consistency_mode() const { return engine_->mode(); }
-
-  // --- propagation parallelism ---
-  //
-  // Point the consistency engine at an externally owned pool (the hacd service lends
-  // its reader pool so batched write flushes propagate in parallel), or at nullptr /
-  // width 1 to force serial passes. Replaces any pool configured via
-  // HacOptions::parallelism for as long as it is set; the caller must outlive the
-  // setting (HacService restores the previous pool in Stop()).
-  void SetPropagationPool(ThreadPool* pool, size_t width) {
-    engine_->SetParallelism(pool, width);
-  }
-  ThreadPool* propagation_pool() const { return engine_->parallel_pool(); }
-  size_t propagation_width() const { return engine_->parallel_width(); }
 
   // --- link-class control (the paper's footnote-1 API) ---
   Result<LinkClassView> GetLinkClasses(const std::string& dir_path);
@@ -317,9 +295,6 @@ class HacFileSystem final : public FsInterface {
   std::vector<HacFdTable> processes_;
   ProcessId current_process_ = 0;
 
-  // Owned propagation helpers (options_.parallelism - 1 threads; null when serial).
-  // Declared before engine_ so the pool outlives the engine that borrows it.
-  std::unique_ptr<ThreadPool> propagation_pool_;
   std::unique_ptr<ConsistencyEngine> engine_;
   StatsSnapshot stats_;
   uint64_t content_mutations_since_reindex_ = 0;

@@ -405,10 +405,15 @@ Result<void> HacFileSystem::Prohibit(const std::string& dir_path,
     return Error(ErrorCode::kInvalidArgument, "file path must be absolute");
   }
   HAC_ASSIGN_OR_RETURN(DocId doc, registry_.FindByPath(norm_file));
-  if (auto name = meta->links.NameOf(doc); name.ok()) {
-    // Currently linked here: drop the link (and its symlink) on the way out.
+  if (meta->links.HasDoc(doc)) {
+    // Currently linked here: drop the links (and their symlinks) on the way out. Each
+    // removal hands the doc to the next alias, and the last one prohibits it.
     journal_.Append(JournalOp::kProhibitAdded, meta->uid, r.path, norm_file);
-    return ProhibitTrackedLink(meta, r.path, name.value(), /*unlink_vfs=*/true);
+    for (auto name = meta->links.NameOf(doc); name.ok(); name = meta->links.NameOf(doc)) {
+      HAC_RETURN_IF_ERROR(
+          ProhibitTrackedLink(meta, r.path, name.value(), /*unlink_vfs=*/true));
+    }
+    return OkResult();
   }
   if (meta->links.IsProhibited(doc)) {
     return OkResult();

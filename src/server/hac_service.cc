@@ -70,13 +70,6 @@ HacService::HacService(HacFileSystem& fs, ServiceOptions options)
       options_(options),
       readers_(std::max<size_t>(1, options.read_workers)),
       write_queue_(std::max<size_t>(1, options.max_write_queue)) {
-  if (options_.propagation_parallelism > 0) {
-    prev_propagation_pool_ = fs_.propagation_pool();
-    prev_propagation_width_ = fs_.propagation_width();
-    fs_.SetPropagationPool(
-        &readers_,
-        std::min(options_.propagation_parallelism, readers_.ThreadCount() + 1));
-  }
   writer_ = std::thread([this] { WriterLoop(); });
 }
 
@@ -232,12 +225,11 @@ void HacService::Dispatch(std::shared_ptr<Pending> p) {
 }
 
 std::future<ServerResponse> HacService::Submit(Session* session, ServerRequest req) {
-  auto p = std::make_shared<Pending>();
-  p->req = std::move(req);
-  p->session = session;
-  p->enqueued = std::chrono::steady_clock::now();
-  std::future<ServerResponse> fut = p->done.get_future();
-  Dispatch(std::move(p));
+  auto promise = std::make_shared<std::promise<ServerResponse>>();
+  std::future<ServerResponse> fut = promise->get_future();
+  SubmitCallback(session, std::move(req), [promise](ServerResponse resp) {
+    promise->set_value(std::move(resp));
+  });
   return fut;
 }
 
@@ -869,9 +861,6 @@ void HacService::Stop() {
       // a final checkpoint so the next start recovers without WAL replay.
       (void)options_.durable_store->CommitFrom(fs_);
       (void)options_.durable_store->Checkpoint(fs_);
-    }
-    if (options_.propagation_parallelism > 0) {
-      fs_.SetPropagationPool(prev_propagation_pool_, prev_propagation_width_);
     }
     readers_.Stop();
   });

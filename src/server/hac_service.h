@@ -11,7 +11,7 @@
 //   * Write-class requests go through a bounded MPSC queue drained by ONE writer
 //     thread. The writer takes the exclusive side of the lock, wraps each drained
 //     group of pending mutations in a single ConsistencyEngine BatchScope, executes
-//     them back-to-back, and completes their futures only after the batch flush — so
+//     them back-to-back, and completes each request only after the batch flush — so
 //     N concurrent writers pay one topological propagation pass, and a client's next
 //     read always sees its own settled write.
 //   * Writer priority: readers pause admission to the lock while the writer is
@@ -58,13 +58,6 @@ struct ServiceOptions {
   // Test hook: runs on the worker thread right before a read request executes (after
   // the shared lock is held). Used to make overload/timeout tests deterministic.
   std::function<void()> read_hook;
-  // Lend the reader pool to the facade's consistency engine so batched write flushes
-  // propagate level-parallel: the value is the total planner width (writer thread +
-  // borrowed readers, clamped to read_workers + 1). 0 leaves the facade's own
-  // HacOptions::parallelism configuration untouched. Deadlock-free even though the
-  // borrowed readers may all be blocked on the writer's exclusive lock: ParallelFor's
-  // caller (the writer) participates, so propagation never waits on a pool slot.
-  size_t propagation_parallelism = 0;
   // Server-side cursor policy (docs/API.md "Cursor ops"). A session holds at
   // most this many open cursors; kOpenCursor beyond the cap is refused with
   // kOverloaded. Cursors idle past the transport's idle_timeout_ms are reclaimed
@@ -107,8 +100,9 @@ class HacService {
   // serializes with in-flight mutations), then destroys the session.
   Result<void> CloseSession(Session* session);
 
-  // Asynchronous submission; the future is fulfilled by a worker/writer thread.
-  // Admission control may fulfil it immediately with kOverloaded.
+  // Asynchronous submission: a thin wrapper over SubmitCallback whose callback
+  // fulfils the returned future. Admission control may fulfil it immediately with
+  // kOverloaded.
   std::future<ServerResponse> Submit(Session* session, ServerRequest req);
 
   // Callback-flavored submission for event-driven transports: `done` fires exactly
@@ -117,7 +111,7 @@ class HacService {
   // kIntrospect, null session) the caller's own thread. The callback must be cheap
   // and must not re-enter the service; transports use it to hand the response to
   // the connection's owning reactor. Requests submitted this way go through the
-  // exact same admission control, shedding, and batching as Submit.
+  // same admission control, shedding, and batching; Submit is built on it.
   using ResponseCallback = std::function<void(ServerResponse)>;
   void SubmitCallback(Session* session, ServerRequest req, ResponseCallback done);
 
@@ -150,19 +144,10 @@ class HacService {
   struct Pending {
     ServerRequest req;
     Session* session = nullptr;
-    std::promise<ServerResponse> done;
-    // When set, the request was submitted via SubmitCallback: completion invokes
-    // the callback instead of the promise.
-    ResponseCallback callback;
+    ResponseCallback callback;  // fires exactly once, from Fulfil
     std::chrono::steady_clock::time_point enqueued;
 
-    void Fulfil(ServerResponse resp) {
-      if (callback) {
-        callback(std::move(resp));
-      } else {
-        done.set_value(std::move(resp));
-      }
-    }
+    void Fulfil(ServerResponse resp) { callback(std::move(resp)); }
   };
 
   static ServerResponse Overloaded(const std::string& why);
@@ -170,7 +155,7 @@ class HacService {
   // Resolves a request path against the session cwd ("" -> cwd itself).
   static std::string Absolutize(const Session& session, const std::string& path);
 
-  // Shared by Submit and SubmitCallback: admission control + dispatch. Fulfils
+  // SubmitCallback's body: admission control + dispatch. Fulfils
   // `p` inline on rejection/introspection, otherwise hands it to a worker.
   void Dispatch(std::shared_ptr<Pending> p);
   // Removes `session` from the session table (it must already have executed its
@@ -199,10 +184,6 @@ class HacService {
   bool writer_pending_ = false;
 
   ThreadPool readers_;
-  // The facade's propagation setting before this service lent it the reader pool;
-  // restored in Stop() so the facade never keeps a pointer to a dead pool.
-  ThreadPool* prev_propagation_pool_ = nullptr;
-  size_t prev_propagation_width_ = 1;
   std::atomic<size_t> queued_reads_ = 0;
   BoundedMpscQueue<std::shared_ptr<Pending>> write_queue_;
   std::thread writer_;

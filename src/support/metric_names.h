@@ -119,13 +119,6 @@ inline constexpr const char* kServiceWriteBatchSize = "hac.service.write_batch_s
 inline constexpr const char* kIndexQueryUs = "hac.index.query_us";
 inline constexpr const char* kIndexQuerySelectivityPct =
     "hac.index.query_selectivity_pct";
-// Wavefront-parallel propagation (recorded once per parallel incremental pass).
-inline constexpr const char* kConsistencyParallelLevels =
-    "hac.consistency.parallel_levels";
-inline constexpr const char* kConsistencyParallelWidth =
-    "hac.consistency.parallel_width";
-inline constexpr const char* kConsistencyParallelBarrierWaitNs =
-    "hac.consistency.parallel_barrier_wait_ns";
 // Wire codec cost per frame (encode: typed struct -> bytes; decode: the reverse).
 inline constexpr const char* kServerWireEncodeNs = "hac.server.wire_encode_ns";
 inline constexpr const char* kServerWireDecodeNs = "hac.server.wire_decode_ns";
@@ -179,8 +172,7 @@ inline constexpr const char* kAllHistograms[] = {
     kConsistencyPassUs,     kServiceQueueWaitReadUs, kServiceQueueWaitWriteUs,
     kServiceTimeReadUs,     kServiceTimeWriteUs,     kServiceWriteBatchSize,
     kIndexQueryUs,          kIndexQuerySelectivityPct,
-    kConsistencyParallelLevels, kConsistencyParallelWidth,
-    kConsistencyParallelBarrierWaitNs, kServerWireEncodeNs, kServerWireDecodeNs,
+    kServerWireEncodeNs,    kServerWireDecodeNs,
     kServerFramesPerWake, kServerWritevFrames,
     kServerCursorPageEntries, kServerCursorPageBytes,
     kDurabilityFsyncUs, kDurabilityCheckpointUs, kDurabilityRecoveryUs,

@@ -1,10 +1,12 @@
 // ConsistencyEngine: diamond-shaped dependency DAGs, the batch API, the new
 // link-class calls (DemoteLink / Prohibit), the SetQuery("") cache-drop regression,
 // and a randomized batch-vs-eager equivalence property: the same mutation sequence
-// must yield identical link sets under both engines.
+// must yield identical link sets under both engines, including over dir()-reference
+// DAGs (a scripted diamond and seeded random DAGs).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -235,6 +237,18 @@ TEST_P(ConsistencyEngineTest, ProhibitByPathEvictsAndRemembers) {
   EXPECT_TRUE(Contains(Names(fs_, "/q"), "fp_crime.txt"));
 }
 
+TEST_P(ConsistencyEngineTest, ProhibitEvictsEveryLinkToTheFile) {
+  ASSERT_TRUE(fs_.SMkdir("/q", "fingerprint").ok());
+  ASSERT_TRUE(fs_.Symlink("/docs/recipe.txt", "/q/one").ok());
+  ASSERT_TRUE(fs_.Symlink("/docs/recipe.txt", "/q/two").ok());
+  ASSERT_TRUE(fs_.Prohibit("/q", "/docs/recipe.txt").ok());
+  auto classes = fs_.GetLinkClasses("/q").value();
+  EXPECT_TRUE(classes.permanent.empty());
+  EXPECT_EQ(classes.prohibited, std::vector<std::string>{"/docs/recipe.txt"});
+  EXPECT_FALSE(Contains(Names(fs_, "/q"), "one"));
+  EXPECT_FALSE(Contains(Names(fs_, "/q"), "two"));
+}
+
 TEST_P(ConsistencyEngineTest, ProhibitUnlinkedFileIsPreemptive) {
   ASSERT_TRUE(fs_.SMkdir("/q", "butter").ok());
   // recipe.txt is linked; img_only.txt is not — prohibiting it is a standing veto.
@@ -447,6 +461,157 @@ TEST(BatchEagerEquivalenceTest, RandomizedMutationSequence) {
   StatsSnapshot eager = eq.eager_.Stats();
   EXPECT_GT(incr.batched_mutations, 0u);
   EXPECT_LT(incr.query_evaluations, eager.query_evaluations);
+}
+
+// --- dir()-DAG inputs to the equivalence property ---
+//
+// Two more workloads for EquivalenceChecker, both built on dir() references: the
+// scripted diamond and a seeded random DAG. Each is a deterministic call sequence
+// (nothing depends on results), so it runs once per engine and the settled link
+// sets are compared directory by directory.
+
+constexpr const char* kVocab[] = {"alpha", "bravo",  "cargo", "delta",
+                                  "ember", "fresco", "gable", "harbor"};
+constexpr size_t kVocabSize = sizeof(kVocab) / sizeof(kVocab[0]);
+
+// Builds the /src -> {/left,/right} -> /join diamond, then applies the full mutation
+// repertoire: content edits, pins, query changes, batches and unpins.
+void RunDiamondWorkload(HacFileSystem& fs) {
+  ASSERT_TRUE(fs.Mkdir("/docs").ok());
+  ASSERT_TRUE(fs.WriteFile("/docs/fp_img.txt", "fingerprint image ridge pixel").ok());
+  ASSERT_TRUE(fs.WriteFile("/docs/fp_crime.txt", "fingerprint murder evidence").ok());
+  ASSERT_TRUE(fs.WriteFile("/docs/img_only.txt", "image pixel raster").ok());
+  ASSERT_TRUE(fs.WriteFile("/docs/recipe.txt", "butter flour oven").ok());
+  ASSERT_TRUE(fs.Reindex().ok());
+
+  ASSERT_TRUE(fs.SMkdir("/src", "fingerprint").ok());
+  ASSERT_TRUE(fs.SMkdir("/left", "ALL AND dir(/src)").ok());
+  ASSERT_TRUE(fs.SMkdir("/right", "NOT murder AND dir(/src)").ok());
+  ASSERT_TRUE(fs.SMkdir("/join", "dir(/left) OR dir(/right)").ok());
+  (void)fs.ReadDir("/join");  // settle
+
+  ASSERT_TRUE(fs.WriteFile("/docs/new_case.txt", "fingerprint sailing regatta").ok());
+  ASSERT_TRUE(fs.Reindex().ok());
+  ASSERT_TRUE(fs.Symlink("/docs/recipe.txt", "/src/pinned.txt").ok());
+  {
+    BatchScope batch(fs);
+    ASSERT_TRUE(fs.WriteFile("/docs/fp_img.txt", "image pixel only now").ok());
+    ASSERT_TRUE(fs.Symlink("/docs/img_only.txt", "/left/extra.txt").ok());
+    ASSERT_TRUE(batch.Commit().ok());
+  }
+  ASSERT_TRUE(fs.Reindex().ok());
+  ASSERT_TRUE(fs.SetQuery("/src", "image").ok());
+  ASSERT_TRUE(fs.Unlink("/src/pinned.txt").ok());
+  (void)fs.ReadDir("/join");
+}
+
+// A DAG of semantic directories whose queries reference strictly earlier directories
+// (so no edge can close a cycle), then a churn phase mixing content edits, pins,
+// query rewrites and batched edit groups, all driven off `seed`. Returns the
+// semantic directories it created.
+std::vector<std::string> RunRandomDagWorkload(HacFileSystem& fs, uint64_t seed,
+                                              size_t num_docs, size_t num_dirs,
+                                              int churn_steps) {
+  Rng rng(seed);
+  auto random_text = [&rng] {
+    std::string text;
+    for (int w = 0; w < 4; ++w) {
+      text += std::string(kVocab[rng.NextBelow(kVocabSize)]) + " ";
+    }
+    return text;
+  };
+  auto random_doc = [&rng, num_docs] {
+    return "/docs/d" + std::to_string(rng.NextBelow(num_docs)) + ".txt";
+  };
+
+  EXPECT_TRUE(fs.Mkdir("/docs").ok());
+  for (size_t i = 0; i < num_docs; ++i) {
+    EXPECT_TRUE(fs.WriteFile("/docs/d" + std::to_string(i) + ".txt", random_text()).ok());
+  }
+  EXPECT_TRUE(fs.Reindex().ok());
+
+  std::vector<std::string> dirs;
+  for (size_t i = 0; i < num_dirs; ++i) {
+    std::string path = "/q" + std::to_string(i);
+    std::string query = kVocab[rng.NextBelow(kVocabSize)];
+    if (!dirs.empty()) {
+      const size_t refs = rng.NextBelow(std::min<size_t>(dirs.size(), 3) + 1);
+      for (size_t r = 0; r < refs; ++r) {
+        query += std::string(rng.NextBool(0.5) ? " OR dir(" : " AND dir(") +
+                 dirs[rng.NextBelow(dirs.size())] + ")";
+      }
+    }
+    EXPECT_TRUE(fs.SMkdir(path, query).ok()) << path << ": " << query;
+    dirs.push_back(path);
+  }
+
+  for (int step = 0; step < churn_steps; ++step) {
+    switch (rng.NextBelow(4)) {
+      case 0: {  // rewrite a document and reindex
+        EXPECT_TRUE(fs.WriteFile(random_doc(), random_text()).ok());
+        EXPECT_TRUE(fs.Reindex().ok());
+        break;
+      }
+      case 1: {  // pin a document into a random semantic directory
+        std::string doc = random_doc();
+        std::string link =
+            dirs[rng.NextBelow(dirs.size())] + "/pin" + std::to_string(step) + ".txt";
+        EXPECT_TRUE(fs.Symlink(doc, link).ok()) << link;
+        break;
+      }
+      case 2: {  // rewrite a query; dir() refs only point at earlier dirs
+        const size_t target = rng.NextBelow(dirs.size());
+        std::string query = kVocab[rng.NextBelow(kVocabSize)];
+        if (target > 0 && rng.NextBool(0.5)) {
+          query += " OR dir(" + dirs[rng.NextBelow(target)] + ")";
+        }
+        EXPECT_TRUE(fs.SetQuery(dirs[target], query).ok()) << dirs[target] << ": " << query;
+        break;
+      }
+      default: {  // a batched group of edits flushed as one propagation pass
+        BatchScope batch(fs);
+        for (int j = 0; j < 3; ++j) {
+          EXPECT_TRUE(fs.WriteFile(random_doc(), random_text()).ok());
+        }
+        EXPECT_TRUE(batch.Commit().ok());
+        EXPECT_TRUE(fs.Reindex().ok());
+        break;
+      }
+    }
+  }
+  return dirs;
+}
+
+TEST(DagEquivalenceTest, DiamondScript) {
+  EquivalenceChecker eq;
+  RunDiamondWorkload(eq.eager_);
+  RunDiamondWorkload(eq.incr_);
+  for (const char* dir : {"/src", "/left", "/right", "/join", "/docs"}) {
+    eq.CompareDir(dir);
+  }
+}
+
+void CheckRandomDag(uint64_t seed, size_t num_docs, size_t num_dirs, int churn_steps) {
+  EquivalenceChecker eq;
+  const std::vector<std::string> dirs =
+      RunRandomDagWorkload(eq.eager_, seed, num_docs, num_dirs, churn_steps);
+  RunRandomDagWorkload(eq.incr_, seed, num_docs, num_dirs, churn_steps);
+  for (const std::string& dir : dirs) {
+    eq.CompareDir(dir);
+  }
+}
+
+class RandomDagEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RandomDagEquivalenceTest, EagerMatchesIncremental) {
+  CheckRandomDag(GetParam(), /*num_docs=*/16, /*num_dirs=*/8, /*churn_steps=*/24);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomDagEquivalenceTest, ::testing::Values(3, 11, 27));
+
+// A wider DAG with heavier churn.
+TEST(DagEquivalenceTest, WideRandomDagSeed4242) {
+  CheckRandomDag(4242, /*num_docs=*/32, /*num_dirs=*/20, /*churn_steps=*/48);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/hac_file_system.h"
@@ -468,6 +469,58 @@ TEST(DurabilityTest, CleanStopRestartReplaysNothing) {
   EXPECT_EQ(store.value()->recovery_info().replayed_records, 0u);
   EXPECT_GT(store.value()->recovery_info().checkpoint_lsn, 0u);
   EXPECT_EQ(DigestOf(*fs.value()), digest);
+}
+
+// Two permanent links to one file in a semantic directory: removing one must leave
+// the file linked (not prohibited) through the other; removing the second prohibits
+// it. WAL replay re-derives the same state.
+TEST(DurabilityTest, UnlinkOneOfTwoPermanentLinksKeepsTheFileLinked) {
+  DurabilityOptions opts;
+  opts.data_dir = TestDir("DuplicateLinkUnlink");
+  opts.wal_fault = FaultSpec{};
+  uint64_t digest = 0;
+  {
+    auto store = DurableStore::Open(opts);
+    ASSERT_TRUE(store.ok());
+    auto live = store.value()->Recover();
+    ASSERT_TRUE(live.ok());
+    HacFileSystem& fs = *live.value();
+    ASSERT_TRUE(fs.Mkdir("/docs").ok());
+    ASSERT_TRUE(fs.WriteFile("/docs/a.txt", "alpha fingerprint").ok());
+    ASSERT_TRUE(fs.WriteFile("/docs/b.txt", "beta dental").ok());
+    ASSERT_TRUE(fs.Reindex().ok());
+    ASSERT_TRUE(fs.SMkdir("/sem", "fingerprint").ok());
+    ASSERT_TRUE(fs.Symlink("/docs/b.txt", "/sem/one").ok());
+    ASSERT_TRUE(fs.Symlink("/docs/b.txt", "/sem/two").ok());
+
+    ASSERT_TRUE(fs.Unlink("/sem/one").ok());
+    auto classes = fs.GetLinkClasses("/sem");
+    ASSERT_TRUE(classes.ok());
+    EXPECT_TRUE(classes.value().prohibited.empty());
+    EXPECT_EQ(classes.value().permanent,
+              (std::vector<std::pair<std::string, std::string>>{{"two", "/docs/b.txt"}}));
+    FsckReport report = RunFsck(fs);
+    EXPECT_TRUE(report.Clean()) << report.ToString();
+
+    ASSERT_TRUE(fs.Unlink("/sem/two").ok());
+    classes = fs.GetLinkClasses("/sem");
+    ASSERT_TRUE(classes.ok());
+    EXPECT_TRUE(classes.value().permanent.empty());
+    EXPECT_EQ(classes.value().prohibited, std::vector<std::string>{"/docs/b.txt"});
+    report = RunFsck(fs);
+    EXPECT_TRUE(report.Clean()) << report.ToString();
+
+    ASSERT_TRUE(store.value()->CommitFrom(fs).ok());
+    digest = DigestOf(fs);
+  }
+  auto store = DurableStore::Open(opts);
+  ASSERT_TRUE(store.ok());
+  auto recovered = store.value()->Recover();
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_GT(store.value()->recovery_info().replayed_records, 0u);
+  EXPECT_EQ(DigestOf(*recovered.value()), digest);
+  FsckReport report = RunFsck(*recovered.value());
+  EXPECT_TRUE(report.Clean()) << report.ToString();
 }
 
 TEST(DurabilityTest, CheckpointsPruneToTwoGenerations) {

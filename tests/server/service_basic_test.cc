@@ -65,32 +65,6 @@ class ServiceBasicTest : public ::testing::Test {
   HacFileSystem fs_;
 };
 
-TEST_F(ServiceBasicTest, PropagationParallelismLendsAndRestoresReaderPool) {
-  EXPECT_EQ(fs_.propagation_pool(), nullptr);
-  ServiceOptions opts;
-  opts.read_workers = 2;
-  opts.propagation_parallelism = 8;  // clamped to read_workers + 1
-  HacService service(fs_, opts);
-  EXPECT_NE(fs_.propagation_pool(), nullptr);
-  EXPECT_EQ(fs_.propagation_width(), 3u);
-
-  // A semantic workload propagates correctly through the lent pool.
-  ServiceClient client(service);
-  ASSERT_TRUE(client.Mkdir("/docs").ok());
-  ASSERT_TRUE(client.WriteFile("/docs/a.txt", "alpha beta").ok());
-  ASSERT_TRUE(client.Reindex().ok());
-  ASSERT_TRUE(client.SMkdir("/q", "alpha").ok());
-  auto entries = client.ReadDir("/q");
-  ASSERT_TRUE(entries.ok());
-  EXPECT_EQ(entries.value().size(), 1u);
-
-  // Stop() hands the facade back its previous (serial) configuration, so the
-  // engine never holds a pointer into the service's dead reader pool.
-  service.Stop();
-  EXPECT_EQ(fs_.propagation_pool(), nullptr);
-  EXPECT_EQ(fs_.propagation_width(), 1u);
-}
-
 TEST_F(ServiceBasicTest, ConcurrentWritesCoalesceIntoBatches) {
   ReadGate gate;
   ServiceOptions opts;

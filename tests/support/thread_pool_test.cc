@@ -90,74 +90,6 @@ TEST(ThreadPoolTest, RunsSubmittedJobs) {
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(WaitGroupTest, WaitWithNoOutstandingWorkReturnsImmediately) {
-  WaitGroup wg;
-  wg.Wait();  // fresh group is at zero
-  wg.Add(2);
-  wg.Done();
-  wg.Done();
-  wg.Wait();
-}
-
-TEST(WaitGroupTest, WaitBlocksUntilEveryDone) {
-  ThreadPool pool(4);
-  WaitGroup wg;
-  std::atomic<int> count = 0;
-  for (int i = 0; i < 64; ++i) {
-    wg.Add();
-    ASSERT_TRUE(pool.Submit([&count, &wg] {
-      ++count;
-      wg.Done();
-    }));
-  }
-  wg.Wait();
-  EXPECT_EQ(count.load(), 64);  // Wait returned only after every Done
-}
-
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(3);
-  constexpr size_t kN = 1000;
-  std::vector<std::atomic<int>> hits(kN);
-  ParallelFor(&pool, 8, kN, [&hits](size_t i) { ++hits[i]; });
-  for (size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << i;
-  }
-}
-
-TEST(ParallelForTest, NullPoolRunsEverythingOnTheCaller) {
-  constexpr size_t kN = 37;
-  std::vector<int> hits(kN, 0);  // no atomics needed: single-threaded by contract
-  uint64_t waited = ParallelFor(nullptr, 8, kN, [&hits](size_t i) { ++hits[i]; });
-  EXPECT_EQ(waited, 0u);
-  for (size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(hits[i], 1) << i;
-  }
-}
-
-TEST(ParallelForTest, ZeroAndSingleItemSkipHelpers) {
-  ThreadPool pool(2);
-  int calls = 0;
-  EXPECT_EQ(ParallelFor(&pool, 4, 0, [&calls](size_t) { ++calls; }), 0u);
-  EXPECT_EQ(calls, 0);
-  // n == 1 spawns min(helpers, n - 1) == 0 helpers: the caller runs it alone.
-  EXPECT_EQ(ParallelFor(&pool, 4, 1, [&calls](size_t) { ++calls; }), 0u);
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ParallelForTest, StoppedPoolStillCompletesOnTheCaller) {
-  // The submit-after-stop edge: Submit returns false, so ParallelFor must absorb
-  // every index on the calling thread instead of deadlocking in the barrier.
-  ThreadPool pool(2);
-  pool.Stop();
-  ASSERT_FALSE(pool.Submit([] {}));
-  constexpr size_t kN = 64;
-  std::vector<int> hits(kN, 0);
-  EXPECT_EQ(ParallelFor(&pool, 4, kN, [&hits](size_t i) { ++hits[i]; }), 0u);
-  for (size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(hits[i], 1) << i;
-  }
-}
-
 TEST(ThreadPoolTest, StopRunsPendingJobsAndIsIdempotent) {
   std::atomic<int> count = 0;
   {
