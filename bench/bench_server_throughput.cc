@@ -16,15 +16,15 @@
 // the read-heavy 1->8 thread scaling factor. Scaling on a single-core host measures
 // only lock/queue overhead; see the EXPERIMENTS.md discussion before comparing.
 //
-// --connections[=1,8,64,512] switches to the transport-model comparison: for each
-// io_model (thread-per-connection vs epoll reactor) and each connection count, C
-// raw-frame clients each keep a window of pipelined write-heavy requests in flight.
-// Reported per row: ops/sec, p50/p95/p99, the epoll writev_frames mean (responses
-// coalesced per sendmsg — the group-commit payoff crossing the wire), and the final
-// StateDigest. With --hac_json this is the bench_server_epoll_gate: digests must
-// match across io models for every connection count, the epoll writev_frames mean
-// at 64 connections must exceed 1, and on hosts with >= 4 hardware threads epoll
-// must not lose to thread-per-connection on ops/sec at 64 connections.
+// --connections[=1,8,64,512] switches to connection scaling over the epoll
+// TcpServer: for each connection count, C raw-frame clients each keep a window of
+// pipelined write-heavy requests in flight. Reported per row: ops/sec, p50/p95/p99,
+// the writev_frames mean (responses coalesced per sendmsg — the group-commit payoff
+// crossing the wire), and the final StateDigest. With --hac_json this is the
+// bench_server_epoll_gate: every request must be answered ok, the final digest must
+// equal that of a serial replay of the same writes straight into HacFileSystem (a
+// reference that shares no transport or service code), and the writev_frames mean at
+// 64 connections must exceed 1.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -210,10 +210,6 @@ RunResult RunClosedLoop(int threads, const MixSpec& mix, int ops_per_thread,
 // Connection-scaling comparison (--connections): raw pipelined clients.
 // ---------------------------------------------------------------------------
 
-const char* IoModelName(IoModel m) {
-  return m == IoModel::kEpoll ? "epoll" : "thread_per_conn";
-}
-
 // A raw loopback connection that keeps a window of request frames in flight —
 // RemoteServiceClient is strict call/response, so pipelining needs its own client.
 class PipelinedBenchConn {
@@ -277,7 +273,6 @@ class PipelinedBenchConn {
 };
 
 struct ScaleResult {
-  IoModel model = IoModel::kEpoll;
   int connections = 0;
   uint64_t total_ops = 0;
   double wall_ms = 0;
@@ -285,16 +280,48 @@ struct ScaleResult {
   double p50_us = 0;
   double p95_us = 0;
   double p99_us = 0;
-  double writev_mean = 0;      // epoll only: mean response frames per sendmsg
+  double writev_mean = 0;      // mean response frames per sendmsg
   double bytes_per_frame = 0;  // server bytes_out per answered request
   uint64_t digest = 0;         // StateDigest of the final fs (inode-free)
+  uint64_t replay_digest = 0;  // StateDigest of the serial replay (SerialReplayDigest)
   bool clean = true;           // every request sent, answered, and ok()
 };
 
-// C connections, each a closed window of kWindow pipelined writes: distinct paths
-// per connection (commuting), content keyed by op index so the final state — and
-// therefore the digest — is identical whichever io model served the run.
-ScaleResult RunConnectionScale(IoModel model, int connections, int total_ops) {
+// Connection c writes only ScalePath(c), and its op i writes ScaleContent(i): the
+// writes commute across connections, so the final state — and therefore the digest
+// — is fixed by the op sequence, whatever order the transport delivered it in.
+std::string ScalePath(int c) {
+  return "/corpus/d" + std::to_string(c % 8) + "/scale_c" + std::to_string(c) + ".txt";
+}
+
+std::string ScaleContent(int i) {
+  const auto& topics = CorpusTopics();
+  return "scale " + topics[static_cast<size_t>(i) % topics.size()] + " op " +
+         std::to_string(i);
+}
+
+int OpsPerConn(int connections, int total_ops) {
+  return std::max(1, total_ops / connections);
+}
+
+// The gate's reference: the same per-connection WriteFile sequences applied in op
+// order directly to a fresh corpus through HacFileSystem — no wire, reactor or
+// service in the path.
+uint64_t SerialReplayDigest(int connections, int total_ops) {
+  auto fs = BuildCorpusFs();
+  const int ops_per_conn = OpsPerConn(connections, total_ops);
+  for (int c = 0; c < connections; ++c) {
+    for (int i = 0; i < ops_per_conn; ++i) {
+      if (!fs->WriteFile(ScalePath(c), ScaleContent(i)).ok()) {
+        std::abort();
+      }
+    }
+  }
+  return StateDigest(*fs);
+}
+
+// C connections, each a closed window of kWindow pipelined writes.
+ScaleResult RunConnectionScale(int connections, int total_ops) {
   constexpr int kWindow = 16;
   auto fs = BuildCorpusFs();
   ServiceOptions sopts;
@@ -306,15 +333,12 @@ ScaleResult RunConnectionScale(IoModel model, int connections, int total_ops) {
   sopts.write_queue_timeout = std::chrono::milliseconds(0);
   HacService service(*fs, sopts);
   TcpServerOptions topts;
-  topts.io_model = model;
-  topts.max_connections = 4096;  // let the blocking model hold 512 too
-  topts.backlog = 1024;          // a 512-way connect burst must not overflow SYN queue
+  topts.backlog = 1024;  // a 512-way connect burst must not overflow SYN queue
   TcpServer server(service, topts);
   if (!server.Start().ok()) {
     std::abort();
   }
-  const auto& topics = CorpusTopics();
-  const int ops_per_conn = std::max(1, total_ops / connections);
+  const int ops_per_conn = OpsPerConn(connections, total_ops);
 
   std::vector<std::vector<double>> latencies(static_cast<size_t>(connections));
   std::vector<char> clean(static_cast<size_t>(connections), 1);
@@ -340,13 +364,11 @@ ScaleResult RunConnectionScale(IoModel model, int connections, int total_ops) {
       lat.reserve(static_cast<size_t>(ops_per_conn));
       ServerRequest req;
       req.op = ServerOp::kWriteFile;
-      req.path = "/corpus/d" + std::to_string(c % 8) + "/scale_c" +
-                 std::to_string(c) + ".txt";
+      req.path = ScalePath(c);
       int sent = 0, done = 0;
       std::deque<std::chrono::steady_clock::time_point> in_flight;
       auto push_one = [&]() -> bool {
-        req.aux = "scale " + topics[static_cast<size_t>(sent) % topics.size()] +
-                  " op " + std::to_string(sent);
+        req.aux = ScaleContent(sent);
         in_flight.push_back(std::chrono::steady_clock::now());
         ++sent;
         return conn.SendRequest(req);
@@ -382,7 +404,6 @@ ScaleResult RunConnectionScale(IoModel model, int connections, int total_ops) {
   server.Stop();
   service.Stop();
 
-  r.model = model;
   r.connections = connections;
   std::vector<double> all;
   for (auto& lat : latencies) {
@@ -412,64 +433,45 @@ ScaleResult RunConnectionScale(IoModel model, int connections, int total_ops) {
 int RunConnectionScaling(bool json, const std::vector<int>& counts) {
   const int total_ops = PaperScale() ? 16384 : 4096;
   const unsigned hw = std::thread::hardware_concurrency();
-  const std::vector<IoModel> models = {IoModel::kThreadPerConnection, IoModel::kEpoll};
 
   std::vector<ScaleResult> results;
-  TablePrinter table({"io_model", "connections", "ops/sec", "p50us", "p95us",
-                      "p99us", "writev_mean", "digest"});
-  for (IoModel model : models) {
-    for (int c : counts) {
-      ScaleResult r = RunConnectionScale(model, c, total_ops);
-      char digest_hex[32];
-      std::snprintf(digest_hex, sizeof(digest_hex), "%016llx",
-                    static_cast<unsigned long long>(r.digest));
-      table.AddRow({IoModelName(model), std::to_string(c), Fmt(r.ops_per_sec, 0),
-                    Fmt(r.p50_us, 1), Fmt(r.p95_us, 1), Fmt(r.p99_us, 1),
-                    model == IoModel::kEpoll ? Fmt(r.writev_mean, 2) : "-",
-                    digest_hex});
-      results.push_back(r);
-    }
+  TablePrinter table({"connections", "ops/sec", "p50us", "p95us", "p99us",
+                      "writev_mean", "digest", "replay_match"});
+  for (int c : counts) {
+    ScaleResult r = RunConnectionScale(c, total_ops);
+    r.replay_digest = SerialReplayDigest(c, total_ops);
+    char digest_hex[32];
+    std::snprintf(digest_hex, sizeof(digest_hex), "%016llx",
+                  static_cast<unsigned long long>(r.digest));
+    table.AddRow({std::to_string(c), Fmt(r.ops_per_sec, 0), Fmt(r.p50_us, 1),
+                  Fmt(r.p95_us, 1), Fmt(r.p99_us, 1), Fmt(r.writev_mean, 2),
+                  digest_hex, r.digest == r.replay_digest ? "yes" : "NO"});
+    results.push_back(r);
   }
 
-  // Gate 1 (always): the two transports must produce the same file-system state
-  // for every connection count — coalescing and pipelining may reorder wire
-  // traffic, never effects.
+  // Gate 1: at every connection count the served run must leave the same file-system
+  // state as the serial replay — pipelining and coalescing may reorder wire
+  // traffic, never effects — and every request must have been answered ok.
   bool digests_match = true, all_clean = true;
-  for (size_t i = 0; i < counts.size(); ++i) {
-    const ScaleResult& blocking = results[i];
-    const ScaleResult& epoll = results[counts.size() + i];
-    digests_match = digests_match && blocking.digest == epoll.digest;
-    all_clean = all_clean && blocking.clean && epoll.clean;
-  }
-  // Gate 2 (always): at 64 connections the epoll writer must actually batch —
-  // group-committed responses coalesced into one sendmsg, mean > 1 frame.
+  // Gate 2: at 64 connections the writer must actually batch — group-committed
+  // responses coalesced into one sendmsg, mean > 1 frame.
   double writev_at_64 = 0;
-  // Gate 3 (>= 4 hardware threads only): epoll must not lose on throughput at 64
-  // connections. Below that the reactor shares its cores with 64 client threads
-  // and the comparison measures scheduler pressure, not the transport.
-  bool epoll_wins_64 = true;
-  bool compared_64 = false;
-  for (size_t i = 0; i < counts.size(); ++i) {
-    if (counts[i] != 64) {
-      continue;
-    }
-    writev_at_64 = results[counts.size() + i].writev_mean;
-    if (hw >= 4) {
-      epoll_wins_64 =
-          results[counts.size() + i].ops_per_sec >= results[i].ops_per_sec;
-      compared_64 = true;
+  for (const ScaleResult& r : results) {
+    digests_match = digests_match && r.digest == r.replay_digest;
+    all_clean = all_clean && r.clean;
+    if (r.connections == 64) {
+      writev_at_64 = r.writev_mean;
     }
   }
   const bool have_64 = std::find(counts.begin(), counts.end(), 64) != counts.end();
   const bool writev_ok = !have_64 || writev_at_64 > 1.0;
-  const bool pass = digests_match && all_clean && writev_ok && epoll_wins_64;
+  const bool pass = digests_match && all_clean && writev_ok;
 
   std::vector<JsonObject> rows;
   {
     for (const ScaleResult& r : results) {
       JsonObject row;
-      row.Add("io_model", IoModelName(r.model))
-          .Add("connections", static_cast<uint64_t>(r.connections))
+      row.Add("connections", static_cast<uint64_t>(r.connections))
           .Add("total_ops", r.total_ops)
           .Add("ops_per_sec", r.ops_per_sec)
           .Add("p50_us", r.p50_us)
@@ -478,6 +480,7 @@ int RunConnectionScaling(bool json, const std::vector<int>& counts) {
           .Add("writev_frames_mean", r.writev_mean)
           .Add("bytes_per_frame", r.bytes_per_frame)
           .Add("digest", r.digest)
+          .Add("replay_digest", r.replay_digest)
           .AddBool("clean", r.clean);
       rows.push_back(row);
     }
@@ -491,8 +494,6 @@ int RunConnectionScaling(bool json, const std::vector<int>& counts) {
         .AddBool("all_clean", all_clean)
         .Add("writev_frames_mean_at_64", writev_at_64)
         .AddBool("writev_gate_ok", writev_ok)
-        .AddBool("epoll_throughput_compared", compared_64)
-        .AddBool("epoll_throughput_ok", epoll_wins_64)
         .AddBool("pass", pass);
     WriteBenchArtifact("BENCH_server_throughput.json", out);
     if (json) {
@@ -501,18 +502,9 @@ int RunConnectionScaling(bool json, const std::vector<int>& counts) {
   }
   if (!json) {
     table.Print();
-    std::printf("\ndigests match across io models: %s\n",
-                digests_match ? "yes" : "NO");
+    std::printf("\ndigests match the serial replay: %s\n", digests_match ? "yes" : "NO");
     if (have_64) {
-      std::printf("epoll writev_frames mean @64 conns: %.2f (gate: > 1)\n",
-                  writev_at_64);
-    }
-    if (compared_64) {
-      std::printf("epoll >= thread-per-conn ops/sec @64 conns: %s\n",
-                  epoll_wins_64 ? "yes" : "NO");
-    } else {
-      std::printf("epoll-vs-blocking throughput gate skipped (%u hardware threads < 4)\n",
-                  hw);
+      std::printf("writev_frames mean @64 conns: %.2f (gate: > 1)\n", writev_at_64);
     }
   }
   return pass ? 0 : 1;

@@ -27,8 +27,8 @@
 
 #include "bench/bench_util.h"
 #include "src/core/hac_file_system.h"
-#include "src/server/epoll_reactor.h"
 #include "src/server/request.h"
+#include "src/server/tcp_server.h"
 #include "src/server/wire.h"
 #include "src/workload/query_workload.h"
 
@@ -96,7 +96,7 @@ constexpr size_t kLinkTarget = 100000;  // the gate's >= 100k-link directory
 
 int Run(bool json) {
   const size_t files = PaperScale() ? 2 * kLinkTarget : kLinkTarget;
-  const size_t write_high_water = ReactorShared{}.write_high_water;
+  const size_t write_high_water = TcpServerOptions{}.write_high_water;
 
   // --- corpus: every file carries a shared term (-> the 100k-link directory),
   // a vocabulary word (selectivity spread), and a per-file unique term.

@@ -51,7 +51,7 @@ void SetNonBlocking(int fd) {
 
 }  // namespace
 
-EpollReactor::EpollReactor(ReactorShared shared) : shared_(std::move(shared)) {}
+EpollReactor::EpollReactor(ReactorConfig config) : config_(std::move(config)) {}
 
 EpollReactor::~EpollReactor() {
   RequestStop();
@@ -123,8 +123,8 @@ int EpollReactor::TickTimeoutMs() const {
   if (stopping_.load(std::memory_order_acquire)) {
     return 10;
   }
-  if (shared_.idle_timeout_ms > 0) {
-    uint32_t quarter = shared_.idle_timeout_ms / 4;
+  if (config_.idle_timeout_ms > 0) {
+    uint32_t quarter = config_.idle_timeout_ms / 4;
     if (quarter < 10) quarter = 10;
     if (quarter > 100) quarter = 100;
     return static_cast<int>(quarter);
@@ -161,8 +161,8 @@ void EpollReactor::Run() {
       shutdown_issued_ = true;
       for (auto& [fd, c] : conns_) {
         // Drop the peer: pending responses are not deliverable once the server
-        // stops (matches thread-per-connection Stop()). In-flight service work
-        // still completes; its responses are discarded at drain.
+        // stops. In-flight service work still completes; its responses are
+        // discarded at drain.
         ::shutdown(c->fd, SHUT_RDWR);
         c->peer_eof = true;
         c->write_dead = true;
@@ -186,10 +186,10 @@ void EpollReactor::Run() {
   std::lock_guard<std::mutex> lk(adopt_mu_);
   for (int fd : adopt_pending_) {
     ::close(fd);
-    shared_.connections_closed->fetch_add(1, std::memory_order_relaxed);
+    config_.counters->connections_closed.fetch_add(1, std::memory_order_relaxed);
     RM().connections_closed.Inc();
     RM().open_connections.Add(-1);
-    shared_.active_connections->fetch_sub(1, std::memory_order_relaxed);
+    config_.counters->active_connections.fetch_sub(1, std::memory_order_relaxed);
   }
   adopt_pending_.clear();
   // epfd_/wake_fd_ stay open: RequestStop() may still be writing the eventfd
@@ -206,16 +206,16 @@ void EpollReactor::AdoptPending() {
   for (int fd : fds) {
     if (stopping_.load(std::memory_order_acquire)) {
       ::close(fd);
-      shared_.connections_closed->fetch_add(1, std::memory_order_relaxed);
+      config_.counters->connections_closed.fetch_add(1, std::memory_order_relaxed);
       RM().connections_closed.Inc();
       RM().open_connections.Add(-1);
-      shared_.active_connections->fetch_sub(1, std::memory_order_relaxed);
+      config_.counters->active_connections.fetch_sub(1, std::memory_order_relaxed);
       continue;
     }
     SetNonBlocking(fd);
     auto conn = std::make_unique<Conn>();
     conn->fd = fd;
-    conn->session = shared_.service->OpenSession();
+    conn->session = config_.service->OpenSession();
     conn->last_frame = std::chrono::steady_clock::now();
     Conn* raw = conn.get();
     conns_.emplace(fd, std::move(conn));
@@ -251,7 +251,8 @@ void EpollReactor::HandleReadable(Conn* c) {
   for (;;) {
     ssize_t r = ::recv(c->fd, buf, sizeof(buf), 0);
     if (r > 0) {
-      shared_.bytes_in->fetch_add(static_cast<uint64_t>(r), std::memory_order_relaxed);
+      config_.counters->bytes_in.fetch_add(static_cast<uint64_t>(r),
+                                           std::memory_order_relaxed);
       RM().bytes_in.Inc(static_cast<uint64_t>(r));
       c->decoder.Feed(buf, static_cast<size_t>(r));
       continue;  // level-triggered: read until EAGAIN so one wake drains the socket
@@ -284,7 +285,7 @@ void EpollReactor::HandleReadable(Conn* c) {
       break;
     }
     FrameDecoder::Frame frame = std::move(*next.value());
-    shared_.frames_in->fetch_add(1, std::memory_order_relaxed);
+    config_.counters->frames_in.fetch_add(1, std::memory_order_relaxed);
     ++frames_this_wake;
     c->last_frame = std::chrono::steady_clock::now();
     if (frame.kind != FrameKind::kRequest) {
@@ -308,7 +309,7 @@ void EpollReactor::HandleReadable(Conn* c) {
     }
     uint64_t seq = c->next_seq++;
     ++c->inflight;
-    shared_.service->SubmitCallback(
+    config_.service->SubmitCallback(
         c->session, std::move(req).value(),
         [this, c, seq](ServerResponse resp) { PostCompletion(c, seq, std::move(resp)); });
   }
@@ -323,7 +324,7 @@ void EpollReactor::HandleReadable(Conn* c) {
 }
 
 void EpollReactor::WireError(Conn* c, const Error& err) {
-  shared_.wire_errors->fetch_add(1, std::memory_order_relaxed);
+  config_.counters->wire_errors.fetch_add(1, std::memory_order_relaxed);
   RM().wire_errors.Inc();
   // The error is sequenced like a response so every request decoded before the
   // damage still answers first — then the connection closes (framing cannot
@@ -389,7 +390,7 @@ void EpollReactor::PumpResponses(Conn* c) {
     c->reorder.erase(it);
     ++c->next_send;
   }
-  if (!c->reading_paused && !c->fatal && c->out_bytes > shared_.write_high_water) {
+  if (!c->reading_paused && !c->fatal && c->out_bytes > config_.write_high_water) {
     PauseReading(c);
   }
 }
@@ -438,7 +439,8 @@ void EpollReactor::Flush(Conn* c) {
       return;
     }
     RM().writev_frames.Record(static_cast<uint64_t>(cnt));
-    shared_.bytes_out->fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
+    config_.counters->bytes_out.fetch_add(static_cast<uint64_t>(n),
+                                          std::memory_order_relaxed);
     RM().bytes_out.Inc(static_cast<uint64_t>(n));
     size_t left = static_cast<size_t>(n);
     while (left > 0) {
@@ -448,7 +450,7 @@ void EpollReactor::Flush(Conn* c) {
         left -= avail;
         c->out_bytes -= avail;
         c->out_head_off = 0;
-        shared_.frames_out->fetch_add(1, std::memory_order_relaxed);
+        config_.counters->frames_out.fetch_add(1, std::memory_order_relaxed);
         RecycleBuffer(std::move(front));
         c->outq.pop_front();
       } else {
@@ -462,7 +464,7 @@ void EpollReactor::Flush(Conn* c) {
     c->want_write = false;
     UpdateInterest(c);
   }
-  if (c->reading_paused && !c->fatal && c->out_bytes <= shared_.write_low_water) {
+  if (c->reading_paused && !c->fatal && c->out_bytes <= config_.write_low_water) {
     ResumeReading(c);
   }
 }
@@ -478,7 +480,7 @@ void EpollReactor::UpdateInterest(Conn* c) {
 void EpollReactor::PauseReading(Conn* c) {
   c->reading_paused = true;
   UpdateInterest(c);
-  shared_.backpressure_stalls->fetch_add(1, std::memory_order_relaxed);
+  config_.counters->backpressure_stalls.fetch_add(1, std::memory_order_relaxed);
   RM().backpressure_stalls.Inc();
 }
 
@@ -492,11 +494,11 @@ void EpollReactor::ResumeReading(Conn* c) {
 }
 
 void EpollReactor::SweepIdle() {
-  if (shared_.idle_timeout_ms == 0) {
+  if (config_.idle_timeout_ms == 0) {
     return;
   }
   auto now = std::chrono::steady_clock::now();
-  auto limit = std::chrono::milliseconds(shared_.idle_timeout_ms);
+  auto limit = std::chrono::milliseconds(config_.idle_timeout_ms);
   for (auto& [fd, c] : conns_) {
     if (c->peer_eof || c->fatal || c->write_dead) {
       continue;
@@ -513,7 +515,7 @@ void EpollReactor::SweepIdle() {
     if (now - c->last_frame < limit) {
       continue;
     }
-    shared_.idle_closes->fetch_add(1, std::memory_order_relaxed);
+    config_.counters->idle_closes.fetch_add(1, std::memory_order_relaxed);
     RM().idle_closes.Inc();
     ::shutdown(c->fd, SHUT_RDWR);
     c->peer_eof = true;
@@ -543,12 +545,12 @@ void EpollReactor::CloseConn(Conn* c) {
   // Session close rides the service's write queue; no reactor blocking. The Conn
   // itself is gone by the time the callback fires, which is fine: the callback
   // captures nothing but the service.
-  shared_.service->CloseSessionAsync(c->session);
+  config_.service->CloseSessionAsync(c->session);
   c->session = nullptr;
-  shared_.connections_closed->fetch_add(1, std::memory_order_relaxed);
+  config_.counters->connections_closed.fetch_add(1, std::memory_order_relaxed);
   RM().connections_closed.Inc();
   RM().open_connections.Add(-1);
-  shared_.active_connections->fetch_sub(1, std::memory_order_relaxed);
+  config_.counters->active_connections.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void EpollReactor::ReapClosable() {

@@ -1,9 +1,6 @@
 // EpollReactor: one event-loop thread owning an epoll instance and a shard of
-// hacd's TCP connections (TcpServerOptions::io_model = IoModel::kEpoll).
-//
-// Where the thread-per-connection model spends one blocking reader thread, one
-// recv wake, and one synchronous send per request, a reactor multiplexes its whole
-// shard over nonblocking sockets:
+// hacd's TCP connections (TcpServer runs a fixed pool of them). A reactor
+// multiplexes its whole shard over nonblocking sockets:
 //
 //   * Pipelining — every complete frame available at a recv wake is decoded and
 //     submitted to HacService::SubmitCallback immediately; responses complete on
@@ -47,19 +44,20 @@
 
 namespace hac {
 
-// Counters owned by TcpServer, shared by its reactors (and the blocking path) so
-// TcpServer::Stats() is one coherent view regardless of io_model.
-struct ReactorShared {
+// Transport counters owned by TcpServer and bumped by its acceptor and every
+// reactor, so TcpServer::Stats() is one coherent view across the shards.
+struct TransportCounters {
+  std::atomic<uint64_t> connections_opened = 0, connections_closed = 0,
+                        connections_rejected = 0, frames_in = 0, frames_out = 0,
+                        wire_errors = 0, bytes_in = 0, bytes_out = 0,
+                        idle_closes = 0, backpressure_stalls = 0;
+  // Live connections: the acceptor's connection cap reads this.
+  std::atomic<size_t> active_connections = 0;
+};
+
+struct ReactorConfig {
   HacService* service = nullptr;
-  std::atomic<uint64_t>* frames_in = nullptr;
-  std::atomic<uint64_t>* frames_out = nullptr;
-  std::atomic<uint64_t>* wire_errors = nullptr;
-  std::atomic<uint64_t>* bytes_in = nullptr;
-  std::atomic<uint64_t>* bytes_out = nullptr;
-  std::atomic<uint64_t>* connections_closed = nullptr;
-  std::atomic<uint64_t>* idle_closes = nullptr;
-  std::atomic<uint64_t>* backpressure_stalls = nullptr;
-  std::atomic<size_t>* active_connections = nullptr;
+  TransportCounters* counters = nullptr;
   size_t write_high_water = 1 << 20;
   size_t write_low_water = 128 << 10;
   uint32_t idle_timeout_ms = 0;
@@ -67,7 +65,7 @@ struct ReactorShared {
 
 class EpollReactor {
  public:
-  explicit EpollReactor(ReactorShared shared);
+  explicit EpollReactor(ReactorConfig config);
   ~EpollReactor();
 
   EpollReactor(const EpollReactor&) = delete;
@@ -137,7 +135,7 @@ class EpollReactor {
   void CloseConn(Conn* c);
   void ReapClosable();
 
-  ReactorShared shared_;
+  ReactorConfig config_;
   int epfd_ = -1;
   int wake_fd_ = -1;  // guarded by wake_mu_ against Wake()/Join() teardown races
   std::thread thread_;

@@ -128,8 +128,8 @@ class HacService {
   ServerResponse Call(Session* session, ServerRequest req);
 
   // Drops the session's cursors untouched since `cutoff` and updates the cursor
-  // metrics. Called by the transports' idle sweeps (reactor thread / blocking
-  // connection loop) — safe concurrently with fetches, which hold the table mutex.
+  // metrics. Called by the reactor's idle sweep — safe concurrently with fetches,
+  // which hold the table mutex.
   static size_t HarvestIdleCursors(Session* session,
                                    std::chrono::steady_clock::time_point cutoff);
 

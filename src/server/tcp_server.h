@@ -1,15 +1,10 @@
 // TcpServer: the network front door of hacd. A listener thread accepts loopback/IPv4
 // connections and hands each one Session plus a strict request→response ordering over
-// the versioned wire protocol (src/server/wire.h). Two I/O models share that contract
-// (TcpServerOptions::io_model):
-//
-//   * kEpoll (default) — a fixed pool of reactor threads (src/server/epoll_reactor.h),
-//     each owning an epoll instance; connections are sharded round-robin across them.
-//     Nonblocking sockets, request pipelining with in-order responses, one writev per
-//     writable wake, and high/low-water backpressure on slow readers.
-//   * kThreadPerConnection — the original blocking model: one reader thread per
-//     connection, synchronous Call per request. Kept for A/B benchmarking
-//     (bench/bench_server_throughput.cc) and as the fallback reference implementation.
+// the versioned wire protocol (src/server/wire.h). Accepted connections are sharded
+// round-robin across a fixed pool of reactor threads (src/server/epoll_reactor.h),
+// each owning an epoll instance: nonblocking sockets, request pipelining with in-order
+// responses, one writev per writable wake, and high/low-water backpressure on slow
+// readers.
 //
 // The transport adds NOTHING to the service semantics: every decoded request goes
 // through HacService admission control (queue bounds, deadline shedding, the
@@ -21,8 +16,8 @@
 // Protocol-error policy: a connection that sends an undecodable frame gets one final
 // response frame carrying the decode error (kCorrupt, or kUnsupported for version
 // skew / unknown ops) and is then closed — length-prefixed framing cannot resynchronize
-// after header damage. Under kEpoll the error frame is sequenced after the responses
-// of every request decoded before the damage. kCloseSession is rejected with
+// after header damage. The error frame is sequenced after the responses of every
+// request decoded before the damage. kCloseSession is rejected with
 // kInvalidArgument over the wire: a remote session's lifecycle is its connection.
 #ifndef HAC_SERVER_TCP_SERVER_H_
 #define HAC_SERVER_TCP_SERVER_H_
@@ -41,29 +36,22 @@
 
 namespace hac {
 
-enum class IoModel {
-  kThreadPerConnection,  // one blocking reader thread per connection
-  kEpoll,                // reactor pool, nonblocking sockets (the default)
-};
-
 struct TcpServerOptions {
   std::string bind_address = "127.0.0.1";  // dotted-quad IPv4
   uint16_t port = 0;                       // 0 = ephemeral; read back via port()
   int backlog = 64;                        // listen(2) queue depth
-  IoModel io_model = IoModel::kEpoll;
   // Connections beyond this are accepted, sent one kOverloaded response frame, and
-  // closed — the TCP analogue of a full admission queue. 0 selects the model
-  // default: 256 for kThreadPerConnection (each connection costs a thread), 4096
-  // for kEpoll (each costs only a registered fd + buffers).
-  size_t max_connections = 0;
-  // kEpoll: reactor thread count; 0 = min(4, hardware_concurrency).
+  // closed — the TCP analogue of a full admission queue. A reactor connection costs
+  // only a registered fd plus buffers.
+  size_t max_connections = 4096;
+  // Reactor thread count; 0 = min(4, hardware_concurrency).
   size_t reactor_threads = 0;
   // Close a connection that completes no frame for this long while nothing is in
   // flight on it. 0 disables. Counted in TcpServerStats::idle_closes and
-  // hac.server.idle_closes. Applies to both io models.
+  // hac.server.idle_closes.
   uint32_t idle_timeout_ms = 0;
-  // kEpoll backpressure: stop reading a connection whose unsent-response buffer
-  // exceeds high_water; resume once it drains to low_water.
+  // Backpressure: stop reading a connection whose unsent-response buffer exceeds
+  // high_water; resume once it drains to low_water.
   size_t write_high_water = 1 << 20;    // 1 MiB
   size_t write_low_water = 128 << 10;   // 128 KiB
 };
@@ -78,7 +66,7 @@ struct TcpServerStats {
   uint64_t bytes_in = 0;
   uint64_t bytes_out = 0;
   uint64_t idle_closes = 0;           // idle_timeout_ms harvests
-  uint64_t backpressure_stalls = 0;   // kEpoll: reads paused at high water
+  uint64_t backpressure_stalls = 0;   // reads paused at high water
 };
 
 class TcpServer {
@@ -89,8 +77,8 @@ class TcpServer {
   TcpServer(const TcpServer&) = delete;
   TcpServer& operator=(const TcpServer&) = delete;
 
-  // Binds, listens, and spawns the accept loop (plus the reactor pool under
-  // kEpoll). kUnsupported if already started, kBusy if the address cannot be bound.
+  // Binds, listens, and spawns the reactor pool and the accept loop. kUnsupported
+  // if already started, kBusy if the address cannot be bound.
   Result<void> Start();
 
   // Stops accepting, shuts down every live connection (their sessions close), joins
@@ -101,26 +89,15 @@ class TcpServer {
   // Start().
   uint16_t port() const { return port_; }
   size_t ActiveConnections() const;
-  // The resolved connection cap (option 0 replaced by the io_model default).
-  size_t max_connections() const { return max_connections_; }
   TcpServerStats Stats() const;
 
  private:
-  struct Conn {
-    int fd = -1;
-    std::thread thread;
-    std::atomic<bool> done = false;
-  };
-
   void AcceptLoop();
-  void ServeConnection(Conn* conn);
-  // Sends one whole frame; false on a transport error.
-  bool SendFrame(int fd, const std::vector<uint8_t>& frame);
-  void ReapFinished();  // joins connections whose threads have exited
+  // Answers an over-cap connection with one kOverloaded frame, then closes it.
+  void Reject(int fd);
 
   HacService& service_;
   const TcpServerOptions options_;
-  size_t max_connections_ = 0;  // resolved from options at construction
 
   int listen_fd_ = -1;
   uint16_t port_ = 0;
@@ -129,22 +106,13 @@ class TcpServer {
   std::once_flag stop_once_;
   bool started_ = false;
 
-  // kEpoll: the reactor shards; connections are adopted round-robin.
+  // The reactor shards; connections are adopted round-robin.
   std::vector<std::unique_ptr<EpollReactor>> reactors_;
   size_t next_reactor_ = 0;
 
-  // kThreadPerConnection bookkeeping.
-  mutable std::mutex conns_mu_;
-  std::vector<std::unique_ptr<Conn>> conns_;
-
-  // Live across both models: admission (accept-time cap) reads this instead of
-  // scanning per-model structures.
-  std::atomic<size_t> active_connections_ = 0;
-
-  std::atomic<uint64_t> connections_opened_ = 0, connections_closed_ = 0,
-                        connections_rejected_ = 0, frames_in_ = 0, frames_out_ = 0,
-                        wire_errors_ = 0, bytes_in_ = 0, bytes_out_ = 0,
-                        idle_closes_ = 0, backpressure_stalls_ = 0;
+  // Written by the acceptor and every reactor; Stats() and the accept-time cap
+  // read it.
+  TransportCounters counters_;
 };
 
 }  // namespace hac

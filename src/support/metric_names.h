@@ -66,7 +66,7 @@ inline constexpr const char* kServerBytesOut = "hac.server.bytes_out";
 inline constexpr const char* kServerConnectionsOpened = "hac.server.connections_opened";
 inline constexpr const char* kServerConnectionsClosed = "hac.server.connections_closed";
 inline constexpr const char* kServerWireErrors = "hac.server.wire_errors";
-// Event-driven transport (ServerOptions::io_model = kEpoll, src/server/epoll_reactor.cc).
+// Reactor internals of the TCP transport (src/server/epoll_reactor.cc).
 inline constexpr const char* kServerEpollWakeups = "hac.server.epoll_wakeups";
 inline constexpr const char* kServerBackpressureStalls =
     "hac.server.backpressure_stalls";

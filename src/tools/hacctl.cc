@@ -1,7 +1,7 @@
 #include "src/tools/hacctl.h"
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <utility>
 
@@ -9,6 +9,7 @@
 #include "src/core/hac_file_system.h"
 #include "src/server/client.h"
 #include "src/server/hac_service.h"
+#include "src/tools/flags.h"
 #include "src/tools/fsck.h"
 
 namespace hac {
@@ -94,17 +95,12 @@ Result<size_t> TakeCountFlag(std::vector<std::string>& rest, const char* flag) {
   if (rest.size() < 2 || rest[0] != flag) {
     return size_t{0};
   }
-  // strtoul silently accepts "-3"; require a plain decimal > 0.
-  if (rest[1].empty() || rest[1][0] < '0' || rest[1][0] > '9') {
-    return Error(ErrorCode::kInvalidArgument, kUsage);
-  }
-  char* end = nullptr;
-  unsigned long v = std::strtoul(rest[1].c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || v == 0) {
+  auto v = ParseDecimal(rest[1], SIZE_MAX);
+  if (!v.ok() || v.value() == 0) {
     return Error(ErrorCode::kInvalidArgument, kUsage);
   }
   rest.erase(rest.begin(), rest.begin() + 2);
-  return static_cast<size_t>(v);
+  return static_cast<size_t>(v.value());
 }
 
 // Paged enumeration over the cursor ops (docs/API.md "Cursor ops"): shows what a

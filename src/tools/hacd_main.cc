@@ -4,16 +4,19 @@
 // checkpoint on SIGINT/SIGTERM.
 //
 //   hacd --data-dir DIR [--port N] [--bind ADDR] [--checkpoint-records N]
-//        [--io-model epoll|blocking] [--backlog N] [--idle-timeout-ms N]
+//        [--backlog N] [--idle-timeout-ms N]
+//
+// Numeric values are plain decimals within the option's range (ParseDecimal); any
+// other value prints the usage line and exits 2.
 //
 // Ephemeral mode (no --data-dir) serves an in-memory file system — the pre-durability
 // behavior — for demos and tests that do not care about persistence. The bound port is
 // printed to stdout as "hacd listening on ADDR:PORT" once the server is up, so
 // wrappers can scrape it when --port 0 asks for an ephemeral port.
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <ctime>
 #include <memory>
 #include <string>
@@ -22,6 +25,7 @@
 #include "src/core/hac_file_system.h"
 #include "src/server/hac_service.h"
 #include "src/server/tcp_server.h"
+#include "src/tools/flags.h"
 #include "src/tools/fsck.h"
 
 namespace {
@@ -35,10 +39,19 @@ void HandleStop(int) { g_stop = 1; }
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--data-dir DIR] [--port N] [--bind ADDR] "
-               "[--checkpoint-records N] [--io-model epoll|blocking] "
-               "[--backlog N] [--idle-timeout-ms N]\n",
+               "[--checkpoint-records N] [--backlog N] [--idle-timeout-ms N]\n",
                argv0);
   return 2;
+}
+
+// Stores `text` in `out` if it is a plain decimal no larger than `max`.
+template <typename T>
+bool ParseNumber(const char* text, uint64_t max, T& out) {
+  auto v = hac::ParseDecimal(text, max);
+  if (v.ok()) {
+    out = static_cast<T>(v.value());
+  }
+  return v.ok();
 }
 
 }  // namespace
@@ -48,35 +61,29 @@ int main(int argc, char** argv) {
   std::string bind_address = "127.0.0.1";
   uint16_t port = 0;
   uint64_t checkpoint_records = 0;  // 0 = DurabilityOptions default
-  hac::IoModel io_model = hac::IoModel::kEpoll;
   int backlog = 0;               // 0 = TcpServerOptions default
   uint32_t idle_timeout_ms = 0;  // 0 = never harvest idle connections
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
+    bool ok = true;
     if (arg == "--data-dir" && has_value) {
       data_dir = argv[++i];
     } else if (arg == "--port" && has_value) {
-      port = static_cast<uint16_t>(std::atoi(argv[++i]));
+      ok = ParseNumber(argv[++i], UINT16_MAX, port);
     } else if (arg == "--bind" && has_value) {
       bind_address = argv[++i];
     } else if (arg == "--checkpoint-records" && has_value) {
-      checkpoint_records = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--io-model" && has_value) {
-      const std::string model = argv[++i];
-      if (model == "epoll") {
-        io_model = hac::IoModel::kEpoll;
-      } else if (model == "blocking") {
-        io_model = hac::IoModel::kThreadPerConnection;
-      } else {
-        return Usage(argv[0]);
-      }
+      ok = ParseNumber(argv[++i], UINT64_MAX, checkpoint_records);
     } else if (arg == "--backlog" && has_value) {
-      backlog = std::atoi(argv[++i]);
+      ok = ParseNumber(argv[++i], INT_MAX, backlog);
     } else if (arg == "--idle-timeout-ms" && has_value) {
-      idle_timeout_ms = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      ok = ParseNumber(argv[++i], UINT32_MAX, idle_timeout_ms);
     } else {
+      ok = false;
+    }
+    if (!ok) {
       return Usage(argv[0]);
     }
   }
@@ -127,7 +134,6 @@ int main(int argc, char** argv) {
   hac::TcpServerOptions topts;
   topts.bind_address = bind_address;
   topts.port = port;
-  topts.io_model = io_model;
   if (backlog > 0) {
     topts.backlog = backlog;
   }

@@ -1,8 +1,10 @@
 // The ClientApi contract, run three times: over the in-process ServiceClient and
-// over a RemoteServiceClient talking to a loopback TcpServer in each io_model
-// (thread-per-connection and epoll reactor). The assertions are transport-blind —
-// the point of the parameterization is that nothing here may depend on which side
-// of a socket the service lives, nor on how the server multiplexes its sockets.
+// over a RemoteServiceClient talking to a loopback TcpServer in two configurations —
+// the defaults, and one reactor thread with 256/64-byte write water marks, so any
+// response over 256 bytes pauses reading until it drains. The assertions are
+// transport-blind — the point of the parameterization is that nothing here may
+// depend on which side of a socket the service lives, nor on how the server
+// buffers its sockets.
 #include <algorithm>
 #include <chrono>
 #include <functional>
@@ -37,7 +39,7 @@ const char* TransportName(Transport t) {
 }
 
 // TCP-side effects of a disconnect (session close, descriptor release) land when
-// the server's connection thread observes EOF, not when the client object dies —
+// the server's reactor observes EOF, not when the client object dies —
 // poll instead of asserting immediately.
 bool WaitFor(const std::function<bool()>& pred,
              std::chrono::milliseconds limit = std::chrono::milliseconds(2000)) {
@@ -57,9 +59,11 @@ class ClientContractTest : public ::testing::TestWithParam<Transport> {
     service_.emplace(fs_);
     if (GetParam() != Transport::kInProcess) {
       TcpServerOptions options;
-      options.io_model = GetParam() == Transport::kEpollTcp
-                             ? IoModel::kEpoll
-                             : IoModel::kThreadPerConnection;
+      if (GetParam() == Transport::kEpollTcp) {
+        options.reactor_threads = 1;
+        options.write_high_water = 256;
+        options.write_low_water = 64;
+      }
       server_.emplace(*service_, options);
       ASSERT_TRUE(server_->Start().ok());
       ASSERT_NE(server_->port(), 0);
@@ -67,7 +71,7 @@ class ClientContractTest : public ::testing::TestWithParam<Transport> {
   }
 
   void TearDown() override {
-    // Transport first (its connection threads hold Sessions), then the service.
+    // Transport first (its connections hold Sessions), then the service.
     if (server_.has_value()) {
       server_->Stop();
     }

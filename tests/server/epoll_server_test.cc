@@ -1,10 +1,11 @@
-// Epoll transport tests (TcpServerOptions::io_model = kEpoll): request pipelining
-// with in-order responses, slow-reader backpressure (no loss, bounded buffering),
-// partial-write resumption on multi-megabyte frames, idle-connection harvesting,
-// the connection cap, model-default option resolution, and the client-side receive
-// timeout against a server that never answers. The mixed-workload stress test is
-// the body of the server_epoll_tsan_gate ctest (tests/CMakeLists.txt,
-// HAC_SANITIZE=thread).
+// Reactor behaviour tests for TcpServer: request pipelining with in-order
+// responses, slow-reader backpressure (no loss, bounded buffering), partial-write
+// resumption on multi-megabyte frames, idle-connection harvesting, wire errors
+// sequenced after earlier pipelined requests, and the client-side receive timeout
+// against a server that never answers, the connection cap counted across reactor
+// shards, and Stop with busy connections on every shard. The mixed-workload stress
+// and stop-under-load tests are the body of the server_epoll_tsan_gate ctest
+// (tests/CMakeLists.txt, HAC_SANITIZE=thread).
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -133,7 +134,6 @@ class PipelinedConn {
 class EpollServerTest : public ::testing::Test {
  protected:
   void StartServer(TcpServerOptions options = {}) {
-    options.io_model = IoModel::kEpoll;
     service_.emplace(fs_);
     server_.emplace(*service_, options);
     ASSERT_TRUE(server_->Start().ok());
@@ -153,23 +153,6 @@ class EpollServerTest : public ::testing::Test {
   std::optional<HacService> service_;
   std::optional<TcpServer> server_;
 };
-
-TEST_F(EpollServerTest, MaxConnectionsResolvesPerIoModel) {
-  HacService service(fs_);
-  TcpServerOptions epoll_opts;
-  epoll_opts.io_model = IoModel::kEpoll;
-  EXPECT_EQ(TcpServer(service, epoll_opts).max_connections(), 4096u);
-
-  TcpServerOptions blocking_opts;
-  blocking_opts.io_model = IoModel::kThreadPerConnection;
-  EXPECT_EQ(TcpServer(service, blocking_opts).max_connections(), 256u);
-
-  TcpServerOptions explicit_opts;
-  explicit_opts.io_model = IoModel::kEpoll;
-  explicit_opts.max_connections = 7;
-  EXPECT_EQ(TcpServer(service, explicit_opts).max_connections(), 7u);
-  service.Stop();
-}
 
 TEST_F(EpollServerTest, PipelinedRequestsAnswerInRequestOrder) {
   StartServer();
@@ -331,21 +314,37 @@ TEST_F(EpollServerTest, IdleConnectionIsHarvestedActiveOneIsNot) {
 }
 
 TEST_F(EpollServerTest, ConnectionCapRejectsTheExtraClient) {
+  // The cap counts connections across reactor shards: the two admitted clients
+  // land on different reactors, the third is refused, and a closed connection
+  // hands its slot back.
   TcpServerOptions options;
-  options.max_connections = 1;
+  options.max_connections = 2;
+  options.reactor_threads = 2;
   StartServer(options);
 
   RemoteServiceClient first;
   ASSERT_TRUE(first.Connect("127.0.0.1", server_->port()).ok());
   ASSERT_TRUE(first.ReadDir("/").ok());
+  std::optional<RemoteServiceClient> second;
+  second.emplace();
+  ASSERT_TRUE(second->Connect("127.0.0.1", server_->port()).ok());
+  ASSERT_TRUE(second->ReadDir("/").ok());
 
-  RemoteServiceClient second;
-  ASSERT_TRUE(second.Connect("127.0.0.1", server_->port()).ok());
-  auto resp = second.ReadDir("/");
+  RemoteServiceClient third;
+  ASSERT_TRUE(third.Connect("127.0.0.1", server_->port()).ok());
+  auto resp = third.ReadDir("/");
   ASSERT_FALSE(resp.ok());
   EXPECT_EQ(resp.error().code, ErrorCode::kOverloaded);
   EXPECT_TRUE(WaitFor([this] { return server_->Stats().connections_rejected == 1u; }));
   EXPECT_TRUE(first.ReadDir("/").ok());
+  EXPECT_TRUE(second->ReadDir("/").ok());
+
+  second.reset();
+  ASSERT_TRUE(WaitFor([this] { return server_->ActiveConnections() == 1u; }));
+  RemoteServiceClient fourth;
+  ASSERT_TRUE(fourth.Connect("127.0.0.1", server_->port()).ok());
+  EXPECT_TRUE(fourth.ReadDir("/").ok());
+  EXPECT_EQ(server_->Stats().connections_rejected, 1u);
 }
 
 TEST_F(EpollServerTest, WireErrorAnswersEarlierPipelinedRequestsFirst) {
@@ -534,17 +533,25 @@ TEST_F(EpollServerTest, MixedWorkloadStressAcrossReactors) {
 }
 
 TEST_F(EpollServerTest, StopWhileClientsAreActiveFailsThemCleanly) {
-  StartServer();
-  std::atomic<bool> go = false;
+  // Stop with live, busy connections on every reactor shard: each reactor shuts
+  // its own connections down, and every client sees a retry-class error.
+  constexpr int kReactors = 4;
+  constexpr int kClients = 2 * kReactors;
+  TcpServerOptions options;
+  options.reactor_threads = kReactors;
+  StartServer(options);
+  std::atomic<int> ready = 0;
   std::atomic<int> transport_errors = 0;
   std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([this, &go, &transport_errors] {
+  for (int t = 0; t < kClients; ++t) {
+    threads.emplace_back([this, &ready, &transport_errors] {
       RemoteServiceClient client;
-      if (!client.Connect("127.0.0.1", server_->port()).ok()) {
+      bool connected = client.Connect("127.0.0.1", server_->port()).ok() &&
+                       client.StatPath("/").ok();
+      ++ready;
+      if (!connected) {
         return;
       }
-      go = true;
       for (int i = 0; i < 10000; ++i) {
         auto resp = client.StatPath("/");
         if (!resp.ok()) {
@@ -557,15 +564,18 @@ TEST_F(EpollServerTest, StopWhileClientsAreActiveFailsThemCleanly) {
       }
     });
   }
-  while (!go) {
+  while (ready.load() < kClients) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  EXPECT_EQ(server_->Stats().connections_opened, static_cast<uint64_t>(kClients));
   server_->Stop();
   for (auto& th : threads) {
     th.join();
   }
   EXPECT_GE(transport_errors.load(), 1);
   EXPECT_EQ(server_->ActiveConnections(), 0u);
+  TcpServerStats stats = server_->Stats();
+  EXPECT_EQ(stats.connections_closed, stats.connections_opened);
 }
 
 }  // namespace
