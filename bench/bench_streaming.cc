@@ -12,9 +12,11 @@
 //   * frame discipline: every page, encoded as a response frame, must fit under
 //     the reactor's write_high_water — the monolithic frame demonstrably does
 //     not, which is why cursors exist;
-//   * ablation: over a randomized query corpus (selectivity buckets plus random
-//     boolean combinations), the lazy cursor path must return exactly the eager
-//     bitmap path's results.
+//   * oracle: over a randomized query corpus (selectivity buckets plus random
+//     boolean combinations), the paged SearchPage drain must return exactly the
+//     files under /corpus whose content MatchesText accepts — a brute-force scan
+//     that never touches the posting lists — and exactly monolithic Search's
+//     results.
 //
 // --hac_json prints the gate document; the measured rows are also written to
 // BENCH_streaming.json (WriteBenchArtifact) for machine consumption either way.
@@ -23,10 +25,12 @@
 #include <cstring>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/core/hac_file_system.h"
+#include "src/index/query.h"
 #include "src/server/request.h"
 #include "src/server/tcp_server.h"
 #include "src/server/wire.h"
@@ -247,7 +251,7 @@ int Run(bool json) {
       DigestStrings(mono_paths) == DigestStrings(paged_paths);
   const bool search_frames_ok = max_search_frame <= write_high_water;
 
-  // --- cursor-vs-bitmap ablation over a randomized query corpus ------------
+  // --- paged search vs a brute-force content oracle -------------------------
   QueryBucketOptions qopts;
   auto* index = dynamic_cast<InvertedIndex*>(&fs.index());
   if (index == nullptr) {
@@ -281,11 +285,25 @@ int Run(bool json) {
         break;
     }
   }
+  // The oracle's input: every file under /corpus with its stored content.
+  std::vector<std::pair<std::string, std::string>> corpus_files;
+  for (const DirEntry& e : fs.ReadDir("/corpus").value()) {
+    std::string path = "/corpus/" + e.name;
+    std::string body = fs.ReadFileToString(path).value();
+    corpus_files.emplace_back(std::move(path), std::move(body));
+  }
   size_t ablation_checked = 0, ablation_mismatches = 0;
   for (const auto& q : queries) {
     auto eager = fs.Search(q, "/corpus");
     if (!eager.ok()) {
       continue;  // bucket probing can surface internal-only tokens; skip
+    }
+    QueryExprPtr ast = ParseQuery(q).value();
+    std::vector<std::string> oracle;
+    for (const auto& [path, body] : corpus_files) {
+      if (index->MatchesText(*ast, body)) {
+        oracle.push_back(path);
+      }
     }
     std::vector<std::string> lazy;
     const PageToken* token = nullptr;
@@ -307,12 +325,16 @@ int Run(bool json) {
       token = &held;
     }
     ++ablation_checked;
-    std::vector<std::string> want = eager.value();
-    std::sort(want.begin(), want.end());
+    std::vector<std::string> mono = eager.value();
+    std::sort(mono.begin(), mono.end());
+    std::sort(oracle.begin(), oracle.end());
     std::sort(lazy.begin(), lazy.end());
-    if (failed || DigestStrings(want) != DigestStrings(lazy)) {
+    const uint64_t lazy_digest = DigestStrings(lazy);
+    if (failed || DigestStrings(oracle) != lazy_digest ||
+        DigestStrings(mono) != lazy_digest) {
       ++ablation_mismatches;
-      std::fprintf(stderr, "ablation mismatch on query: %s\n", q.c_str());
+      std::fprintf(stderr, "mismatch on query %s: oracle %zu, paged %zu, monolithic %zu\n",
+                   q.c_str(), oracle.size(), lazy.size(), mono.size());
     }
   }
   const bool ablation_ok = ablation_checked > 0 && ablation_mismatches == 0;
@@ -371,7 +393,7 @@ int Run(bool json) {
         "\npaged drain: %zu pages in %.1f ms (max frame %zu B, monolithic frame "
         "%zu B, high water %zu B)\n",
         dir_pages, drain_ms, max_dir_frame, mono_frame, write_high_water);
-    std::printf("digests: dir %s, search %s; ablation %zu queries, %zu mismatches\n",
+    std::printf("digests: dir %s, search %s; oracle %zu queries, %zu mismatches\n",
                 dir_digest_ok ? "equal" : "DIFFER",
                 search_digest_ok ? "equal" : "DIFFER", ablation_checked,
                 ablation_mismatches);

@@ -253,6 +253,17 @@ class HacFileSystem final : public FsInterface {
   // because readers run concurrently under the service's shared lock.
   Result<Bitmap> CachedDirContents(DirUid uid) const;
 
+  // Search and SearchPage's shared front half: parses `query`, binds its dir()
+  // references to UIDs and optimizes it, and loads the contents of the routed
+  // local directory `scope_path` as the scope.
+  struct PreparedSearch {
+    QueryExprPtr query;
+    Bitmap scope;
+    DirResolver resolver;
+  };
+  Result<PreparedSearch> PrepareSearch(const std::string& query,
+                                       const std::string& scope_path);
+
   // Dependency set for a directory: its parent plus all dirs referenced by its query.
   Result<std::vector<DirUid>> ComputeDeps(DirUid uid, const std::string& norm_path,
                                           const QueryExpr* query);

@@ -140,15 +140,8 @@ Result<std::vector<std::string>> HacFileSystem::SAct(const std::string& link_pat
   return matching;
 }
 
-Result<std::vector<std::string>> HacFileSystem::Search(const std::string& query,
-                                                       const std::string& scope_dir) {
-  HAC_ASSIGN_OR_RETURN(Routed r, Route(scope_dir));
-  if (!r.local) {
-    return Error(ErrorCode::kUnsupported, "search applies to the local name space");
-  }
-  // Search reads link sets through dir() references and the scope directory: settle
-  // any batched mutations first.
-  HAC_RETURN_IF_ERROR(engine_->Flush());
+Result<HacFileSystem::PreparedSearch> HacFileSystem::PrepareSearch(
+    const std::string& query, const std::string& scope_path) {
   HAC_ASSIGN_OR_RETURN(QueryExprPtr ast, ParseQuery(query));
   std::vector<QueryExpr*> refs;
   ast->CollectDirRefs(refs);
@@ -161,13 +154,27 @@ Result<std::vector<std::string>> HacFileSystem::Search(const std::string& query,
     ref->dir_uid = ref_uid;
     ref->text.clear();
   }
-  HAC_ASSIGN_OR_RETURN(DirUid scope_uid, uid_map_.UidOf(r.path));
+  HAC_ASSIGN_OR_RETURN(DirUid scope_uid, uid_map_.UidOf(scope_path));
   HAC_ASSIGN_OR_RETURN(Bitmap scope, CachedDirContents(scope_uid));
   DirResolver resolver = [this](DirUid uid) -> Result<Bitmap> {
     return this->DirContentsOfUid(uid);
   };
-  QueryExprPtr optimized = OptimizeQuery(std::move(ast), index_.get());
-  HAC_ASSIGN_OR_RETURN(Bitmap result, index_->Evaluate(*optimized, scope, &resolver));
+  return PreparedSearch{OptimizeQuery(std::move(ast), index_.get()), std::move(scope),
+                        std::move(resolver)};
+}
+
+Result<std::vector<std::string>> HacFileSystem::Search(const std::string& query,
+                                                       const std::string& scope_dir) {
+  HAC_ASSIGN_OR_RETURN(Routed r, Route(scope_dir));
+  if (!r.local) {
+    return Error(ErrorCode::kUnsupported, "search applies to the local name space");
+  }
+  // Search reads link sets through dir() references and the scope directory: settle
+  // any batched mutations first.
+  HAC_RETURN_IF_ERROR(engine_->Flush());
+  HAC_ASSIGN_OR_RETURN(PreparedSearch prepared, PrepareSearch(query, r.path));
+  HAC_ASSIGN_OR_RETURN(Bitmap result, index_->Evaluate(*prepared.query, prepared.scope,
+                                                       &prepared.resolver));
   std::vector<std::string> paths;
   result.ForEach([&](DocId doc) {
     const FileRecord* rec = registry_.Get(doc);
@@ -221,28 +228,12 @@ Result<SearchPageResult> HacFileSystem::SearchPage(const std::string& query,
                      " superseded by " + std::to_string(epoch) +
                      "; restart from the first page");
   }
-  // Parse and bind exactly as Search() does; the difference is downstream — a
-  // lazy cursor pull instead of a materialized result bitmap.
-  HAC_ASSIGN_OR_RETURN(QueryExprPtr ast, ParseQuery(query));
-  std::vector<QueryExpr*> refs;
-  ast->CollectDirRefs(refs);
-  for (QueryExpr* ref : refs) {
-    std::string ref_path = NormalizePath(ref->text);
-    if (ref_path.empty()) {
-      return Error(ErrorCode::kInvalidArgument, "dir() needs an absolute path");
-    }
-    HAC_ASSIGN_OR_RETURN(DirUid ref_uid, uid_map_.UidOf(ref_path));
-    ref->dir_uid = ref_uid;
-    ref->text.clear();
-  }
-  HAC_ASSIGN_OR_RETURN(DirUid scope_uid, uid_map_.UidOf(r.path));
-  HAC_ASSIGN_OR_RETURN(Bitmap scope, CachedDirContents(scope_uid));
-  DirResolver resolver = [this](DirUid uid) -> Result<Bitmap> {
-    return this->DirContentsOfUid(uid);
-  };
-  QueryExprPtr optimized = OptimizeQuery(std::move(ast), index_.get());
+  // Prepared exactly as Search() is; the difference is downstream — a lazy
+  // cursor pull instead of a materialized result bitmap.
+  HAC_ASSIGN_OR_RETURN(PreparedSearch prepared, PrepareSearch(query, r.path));
   HAC_ASSIGN_OR_RETURN(PostingCursorPtr cursor,
-                       index_->OpenCursor(*optimized, scope, &resolver));
+                       index_->OpenCursor(*prepared.query, prepared.scope,
+                                          &prepared.resolver));
   const uint32_t start =
       resuming ? static_cast<uint32_t>(token->last_doc) + 1 : 0;
   SearchPageResult page;

@@ -3,7 +3,7 @@
 // The paper stresses that HAC talks to Glimpse through "a simple, well defined API ...
 // general enough to integrate any CBA mechanism". This is that API. HAC core only ever
 // uses this interface; InvertedIndex (index/inverted_index.h) is the default
-// implementation, and tests substitute instrumented fakes.
+// implementation.
 //
 // Results are bitmaps over the dense DocId space (the paper's representation choice);
 // the DirResolver callback lets the mechanism pull the *current link set* of a directory
@@ -49,8 +49,10 @@ class CbaMechanism {
   virtual Result<Bitmap> Evaluate(const QueryExpr& query, const Bitmap& scope,
                                   const DirResolver* resolve_dir) = 0;
 
-  // True iff `text` alone satisfies the content part of `query` (dir() refs are treated
-  // as true). Used by `sact` to pull matching lines out of a file.
+  // False iff `text` alone definitely fails the content part of `query`. A dir() ref is
+  // unknown from text (three-valued logic: NOT unknown is unknown, false AND x is
+  // false, true OR x is true), and an unknown answer keeps the text. Used by `sact`
+  // to pull matching lines out of a file and by content verification.
   virtual bool MatchesText(const QueryExpr& query, std::string_view text) const = 0;
 
   virtual CbaStats Stats() const = 0;

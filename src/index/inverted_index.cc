@@ -27,16 +27,6 @@ IndexMetrics& GM() {
   return *m;
 }
 
-// Sparse-scope fast path: when the scope has kSparseScopeFactor× fewer set bits than
-// a term's posting list, iterate the scope and probe the list (O(|scope| · log n))
-// instead of materializing the full list as a bitmap and ANDing over the doc space.
-constexpr size_t kSparseScopeFactor = 8;
-
-// Sorted-id vs Bitmap cutover for term-AND-term: below this combined density
-// (set bits per doc-space slot) the id-list intersection beats the word-parallel
-// bitmap AND, which always pays O(universe/64) regardless of how sparse the terms are.
-constexpr size_t kDenseCutover = 8;  // lists denser than 1/8 use bitmaps
-
 // Prefix/approx nodes expand to one posting list per matching dictionary term.
 // Up to this many expand as a lazy OR of span cursors; beyond it the O(fanout)
 // per-step minimum scan loses to materializing the union bitmap once.
@@ -88,21 +78,14 @@ Result<void> InvertedIndex::RemoveDocument(DocId doc) {
 
 Result<Bitmap> InvertedIndex::Evaluate(const QueryExpr& query, const Bitmap& scope,
                                        const DirResolver* resolve_dir) {
-  ++queries_evaluated_;
-  GM().queries.Inc();
   TraceSpan span(metric_names::kSpanIndexEvaluate);
   const uint64_t t0 = kMetricsCompiledIn ? TraceRing::NowUs() : 0;
-  HAC_ASSIGN_OR_RETURN(Bitmap result, EvaluateNode(query, scope, resolve_dir));
-  if (fetch_content_) {
-    // Two-level verification pass (see SetContentVerifier).
-    Bitmap verified = result;
-    result.ForEach([&](uint32_t doc) {
-      auto body = fetch_content_(doc);
-      if (body.ok() && !MatchesText(query, body.value())) {
-        verified.Clear(doc);
-      }
-    });
-    result = std::move(verified);
+  HAC_ASSIGN_OR_RETURN(PostingCursorPtr cursor, OpenCursor(query, scope, resolve_dir));
+  // Every match lies inside the scope, so its capacity bounds the result's.
+  Bitmap result(scope.CapacityBits());
+  for (uint32_t doc = cursor->Value(); doc != PostingCursor::kCursorEnd;
+       doc = cursor->Next()) {
+    result.Set(doc);
   }
   if (kMetricsCompiledIn) {
     GM().query_us.Record(TraceRing::NowUs() - t0);
@@ -118,112 +101,6 @@ Result<Bitmap> InvertedIndex::Evaluate(const QueryExpr& query, const Bitmap& sco
   return result;
 }
 
-Result<Bitmap> InvertedIndex::EvaluateNode(const QueryExpr& node, const Bitmap& scope,
-                                           const DirResolver* resolve_dir) const {
-  switch (node.kind) {
-    case QueryKind::kAll:
-      return scope;
-    case QueryKind::kTerm: {
-      const PostingList* plist = FindPostings(node.text);
-      if (plist == nullptr || plist->Empty()) {
-        return Bitmap();
-      }
-      const size_t scope_count = scope.Count();
-      if (scope_count * kSparseScopeFactor < plist->Size()) {
-        Bitmap bm;
-        scope.ForEach([&](uint32_t doc) {
-          if (plist->Contains(doc)) {
-            bm.Set(doc);
-          }
-        });
-        return bm;
-      }
-      Bitmap bm = plist->ToBitmap();
-      bm &= scope;
-      return bm;
-    }
-    case QueryKind::kPrefix: {
-      Bitmap bm;
-      for (auto it = dictionary_.lower_bound(node.text);
-           it != dictionary_.end() && StartsWith(it->first, node.text); ++it) {
-        postings_[it->second].UnionInto(bm);
-      }
-      bm &= scope;
-      return bm;
-    }
-    case QueryKind::kApprox: {
-      // Dictionary scan with a banded edit-distance check; the length pre-filter
-      // inside WithinEditDistance rejects most terms in O(1).
-      Bitmap bm;
-      for (const auto& [term, id] : dictionary_) {
-        if (WithinEditDistance(term, node.text, node.approx_distance)) {
-          postings_[id].UnionInto(bm);
-        }
-      }
-      bm &= scope;
-      return bm;
-    }
-    case QueryKind::kDirRef: {
-      if (node.dir_uid == kInvalidDirUid) {
-        return Error(ErrorCode::kInvalidArgument,
-                     "unbound dir() reference: " + node.text);
-      }
-      if (resolve_dir == nullptr || !*resolve_dir) {
-        return Error(ErrorCode::kInvalidArgument, "no dir() resolver supplied");
-      }
-      HAC_ASSIGN_OR_RETURN(Bitmap bm, (*resolve_dir)(node.dir_uid));
-      bm &= scope;
-      return bm;
-    }
-    case QueryKind::kAnd: {
-      // Term-AND-term with sparse operands: intersect the sorted posting lists
-      // directly (galloping when skewed) and filter by scope per match, instead of
-      // materializing both lists as full doc-space bitmaps. Identical result —
-      // Eval(a AND b, scope) = A ∩ B ∩ scope either way.
-      if (node.children[0]->kind == QueryKind::kTerm &&
-          node.children[1]->kind == QueryKind::kTerm) {
-        const PostingList* a = FindPostings(node.children[0]->text);
-        const PostingList* b = FindPostings(node.children[1]->text);
-        if (a == nullptr || b == nullptr || a->Empty() || b->Empty()) {
-          return Bitmap();
-        }
-        const size_t universe =
-            static_cast<size_t>(std::max(a->docs().back(), b->docs().back())) + 1;
-        if ((a->Size() + b->Size()) * kDenseCutover < universe) {
-          Bitmap bm;
-          for (uint32_t doc : PostingList::IntersectSorted(a->docs(), b->docs())) {
-            if (scope.Test(doc)) {
-              bm.Set(doc);
-            }
-          }
-          return bm;
-        }
-      }
-      HAC_ASSIGN_OR_RETURN(Bitmap lhs, EvaluateNode(*node.children[0], scope, resolve_dir));
-      if (lhs.Empty()) {
-        return lhs;  // short-circuit
-      }
-      HAC_ASSIGN_OR_RETURN(Bitmap rhs, EvaluateNode(*node.children[1], scope, resolve_dir));
-      lhs &= rhs;
-      return lhs;
-    }
-    case QueryKind::kOr: {
-      HAC_ASSIGN_OR_RETURN(Bitmap lhs, EvaluateNode(*node.children[0], scope, resolve_dir));
-      HAC_ASSIGN_OR_RETURN(Bitmap rhs, EvaluateNode(*node.children[1], scope, resolve_dir));
-      lhs |= rhs;
-      return lhs;
-    }
-    case QueryKind::kNot: {
-      HAC_ASSIGN_OR_RETURN(Bitmap operand,
-                           EvaluateNode(*node.children[0], scope, resolve_dir));
-      Bitmap bm = scope;
-      bm.AndNot(operand);
-      return bm;
-    }
-  }
-  return Error(ErrorCode::kInvalidArgument, "bad query node");
-}
-
 Result<PostingCursorPtr> InvertedIndex::OpenCursor(const QueryExpr& query,
                                                    const Bitmap& scope,
                                                    const DirResolver* resolve_dir) const {
@@ -233,9 +110,9 @@ Result<PostingCursorPtr> InvertedIndex::OpenCursor(const QueryExpr& query,
   if (query.kind == QueryKind::kAll) {
     root = std::make_unique<BitmapCursor>(scope);
   } else {
-    // Leaves are built unscoped; one intersection with the scope at the root is
-    // set-identical to EvaluateNode's per-node `&= scope` (intersection
-    // distributes over AND/OR, and NOT nodes scope-subtract internally).
+    // Leaves are built unscoped; one intersection with the scope at the root
+    // restricts every node to it (intersection distributes over AND/OR, and NOT
+    // nodes scope-subtract internally).
     HAC_ASSIGN_OR_RETURN(PostingCursorPtr tree, BuildCursor(query, scope, resolve_dir));
     std::vector<PostingCursorPtr> both;
     both.push_back(std::make_unique<BitmapCursor>(scope));
@@ -370,28 +247,38 @@ bool InvertedIndex::MatchesText(const QueryExpr& query, std::string_view text) c
     }
     return false;
   };
-  std::function<bool(const QueryExpr&)> eval = [&](const QueryExpr& node) -> bool {
+  // Three-valued (Kleene) logic: a dir() leaf is unknown, since membership cannot
+  // be judged from text alone. Ordered kFalse < kUnknown < kTrue, AND is the
+  // minimum, OR the maximum, and NOT mirrors around kUnknown.
+  enum Truth { kFalse = 0, kUnknown = 1, kTrue = 2 };
+  auto truth = [](bool b) { return b ? kTrue : kFalse; };
+  std::function<Truth(const QueryExpr&)> eval = [&](const QueryExpr& node) -> Truth {
     switch (node.kind) {
       case QueryKind::kAll:
-        return true;
+        return kTrue;
       case QueryKind::kTerm:
-        return has_token(node.text);
+        return truth(has_token(node.text));
       case QueryKind::kPrefix:
-        return has_prefix(node.text);
+        return truth(has_prefix(node.text));
       case QueryKind::kApprox:
-        return has_approx(node.text, node.approx_distance);
+        return truth(has_approx(node.text, node.approx_distance));
       case QueryKind::kDirRef:
-        return true;  // membership cannot be judged from text alone
-      case QueryKind::kAnd:
-        return eval(*node.children[0]) && eval(*node.children[1]);
-      case QueryKind::kOr:
-        return eval(*node.children[0]) || eval(*node.children[1]);
+        return kUnknown;
+      case QueryKind::kAnd: {
+        const Truth lhs = eval(*node.children[0]);
+        return lhs == kFalse ? kFalse : std::min(lhs, eval(*node.children[1]));
+      }
+      case QueryKind::kOr: {
+        const Truth lhs = eval(*node.children[0]);
+        return lhs == kTrue ? kTrue : std::max(lhs, eval(*node.children[1]));
+      }
       case QueryKind::kNot:
-        return !eval(*node.children[0]);
+        return static_cast<Truth>(kTrue - eval(*node.children[0]));
     }
-    return false;
+    return kFalse;
   };
-  return eval(query);
+  // Keep the text unless the content part definitely rules it out.
+  return eval(query) != kFalse;
 }
 
 CbaStats InvertedIndex::Stats() const {

@@ -26,19 +26,20 @@ class InvertedIndex final : public CbaMechanism {
   // CbaMechanism:
   Result<void> IndexDocument(DocId doc, std::string_view text) override;
   Result<void> RemoveDocument(DocId doc) override;
+  // Drains OpenCursor()'s tree into a bitmap: the whole result set, the shape
+  // scope-consistency propagation diffs against its previous snapshot.
   Result<Bitmap> Evaluate(const QueryExpr& query, const Bitmap& scope,
                           const DirResolver* resolve_dir) override;
   bool MatchesText(const QueryExpr& query, std::string_view text) const override;
   CbaStats Stats() const override;
   size_t IndexSizeBytes() const override;
 
-  // Lazy counterpart of Evaluate(): a cursor tree over the docs matching `query`
-  // within `scope`, already positioned at the first match. Result-set equivalence
-  // with Evaluate is pinned by tests and the bench_streaming ablation; the eager
-  // bitmap path stays the engine's propagation representation. The cursor borrows
-  // the index's posting arrays — and `query` itself when a content verifier is
-  // installed — so it is valid only until the index is mutated; callers pull one
-  // page and discard it.
+  // The one encoding of query semantics over the index: a cursor tree over the
+  // docs matching `query` within `scope` (content-verified when a verifier is
+  // installed), already positioned at the first match. Paged reads pull a page
+  // from it; Evaluate() drains it. The cursor borrows the index's posting
+  // arrays — and `query` itself when a content verifier is installed — so it is
+  // valid only until the index is mutated; callers pull one page and discard it.
   Result<PostingCursorPtr> OpenCursor(const QueryExpr& query, const Bitmap& scope,
                                       const DirResolver* resolve_dir) const;
 
@@ -59,8 +60,9 @@ class InvertedIndex final : public CbaMechanism {
 
   // Glimpse-fidelity knob: Glimpse is a two-level system — a coarse index narrows the
   // candidate set, then the candidate FILES are searched (agrep). When a fetcher is
-  // installed, every top-level Evaluate() re-checks each candidate against its current
-  // content and drops non-matching ones, paying the same match-proportional cost.
+  // installed, every cursor OpenCursor() builds (and so every Evaluate()) re-checks
+  // each candidate against its current content and drops non-matching ones, paying
+  // the same match-proportional cost.
   // Unfetchable documents are kept (deletion is settled by reindexing, not here).
   using ContentFetcher = std::function<Result<std::string>(DocId)>;
   void SetContentVerifier(ContentFetcher fetch) { fetch_content_ = std::move(fetch); }
@@ -79,9 +81,6 @@ class InvertedIndex final : public CbaMechanism {
 
   // Posting list for a term (case-folded), or nullptr when the term is unknown.
   const PostingList* FindPostings(const std::string& term) const;
-
-  Result<Bitmap> EvaluateNode(const QueryExpr& node, const Bitmap& scope,
-                              const DirResolver* resolve_dir) const;
 
   Result<PostingCursorPtr> BuildCursor(const QueryExpr& node, const Bitmap& scope,
                                        const DirResolver* resolve_dir) const;

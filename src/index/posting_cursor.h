@@ -1,15 +1,16 @@
 // PostingCursor: lazy, sorted iteration over the DocIds matching a query.
 //
-// The eager path (InvertedIndex::Evaluate) materializes the full result bitmap —
-// the right shape for scope-consistency propagation, where the whole set is diffed
-// against the previous snapshot anyway. Paged reads want the opposite: produce the
-// *next* few matches on demand and stop. A cursor tree mirrors the query AST —
-// term / AND / OR / NOT nodes — and every node exposes one operation, `SeekGE`:
-// position at the first match >= target. Term leaves gallop (exponential search,
-// the same skew cutover as PostingList::IntersectSorted), AND nodes leapfrog their
-// children to the running maximum, OR nodes take the minimum, NOT nodes subtract
-// their operand from a scope cursor. Pulling a page of K matches from a selective
-// conjunction therefore costs O(K · log) list probes, not one full evaluation.
+// A cursor tree is the index's one encoding of query semantics. Paged reads pull
+// the *next* few matches on demand and stop; InvertedIndex::Evaluate drains the
+// whole tree into a result bitmap, the shape scope-consistency propagation diffs
+// against its previous snapshot. The tree mirrors the query AST — term / AND /
+// OR / NOT nodes — and every node exposes one operation, `SeekGE`: position at
+// the first match >= target. Term leaves gallop (exponential probe, then binary
+// search), AND nodes leapfrog their children to the running maximum, OR nodes
+// take the minimum, NOT nodes subtract their operand from a scope cursor.
+// Pulling a page of K matches from a selective conjunction therefore costs
+// O(K · log) list probes, not one full evaluation, and `rare AND common` never
+// pays for the common term's full list.
 //
 // Lifetime: term leaves borrow the index's posting arrays, so a cursor is valid
 // only until the index is next mutated; the verify wrapper additionally borrows
@@ -62,7 +63,7 @@ using PostingCursorPtr = std::unique_ptr<PostingCursor>;
 // Leaf over a borrowed sorted unique id array (a term's posting list). SeekGE
 // gallops forward from the current position: exponential probe then binary search
 // inside the overshoot window, so adjacent pulls are O(1) and far seeks are
-// O(log distance) — the IntersectSorted skew behavior, restated as an iterator.
+// O(log distance): a skewed intersection costs O(|small| · log(|large|/|small|)).
 class SpanCursor final : public PostingCursor {
  public:
   SpanCursor(const uint32_t* data, size_t size) : data_(data), size_(size) {}

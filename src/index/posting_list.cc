@@ -41,53 +41,4 @@ Bitmap PostingList::ToBitmap() const {
   return bm;
 }
 
-std::vector<uint32_t> PostingList::IntersectSorted(const std::vector<uint32_t>& a,
-                                                   const std::vector<uint32_t>& b) {
-  const std::vector<uint32_t>& small = a.size() <= b.size() ? a : b;
-  const std::vector<uint32_t>& large = a.size() <= b.size() ? b : a;
-  std::vector<uint32_t> out;
-  if (small.empty()) {
-    return out;
-  }
-  out.reserve(small.size());
-  if (small.size() * kGallopSkew <= large.size()) {
-    // Galloping: for each id of the small list, double a probe step from the last
-    // match position until it overshoots, then binary-search the bracketed window.
-    size_t lo = 0;
-    for (uint32_t x : small) {
-      size_t bound = 1;
-      while (lo + bound < large.size() && large[lo + bound] < x) {
-        bound <<= 1;
-      }
-      auto it = std::lower_bound(large.begin() + static_cast<ptrdiff_t>(lo),
-                                 large.begin() +
-                                     static_cast<ptrdiff_t>(
-                                         std::min(lo + bound + 1, large.size())),
-                                 x);
-      lo = static_cast<size_t>(it - large.begin());
-      if (lo == large.size()) {
-        break;
-      }
-      if (large[lo] == x) {
-        out.push_back(x);
-        ++lo;
-      }
-    }
-  } else {
-    size_t i = 0, j = 0;
-    while (i < small.size() && j < large.size()) {
-      if (small[i] < large[j]) {
-        ++i;
-      } else if (large[j] < small[i]) {
-        ++j;
-      } else {
-        out.push_back(small[i]);
-        ++i;
-        ++j;
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace hac

@@ -26,14 +26,6 @@ class PostingList {
 
   Bitmap ToBitmap() const;
 
-  // Intersection of two sorted unique id vectors, ascending. Skewed operands (one
-  // list kGallopSkew× the other or more) intersect by exponential ("galloping")
-  // search over the larger list — O(|small| · log(|large|/|small|)) — instead of the
-  // linear merge, so `rare AND common` never pays for the common term's full list.
-  static constexpr size_t kGallopSkew = 16;
-  static std::vector<uint32_t> IntersectSorted(const std::vector<uint32_t>& a,
-                                               const std::vector<uint32_t>& b);
-
   const std::vector<uint32_t>& docs() const { return docs_; }
 
  private:

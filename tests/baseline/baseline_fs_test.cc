@@ -148,7 +148,8 @@ TEST_P(BaselineLayerTest, RandomizedEquivalenceWithRawVfs) {
       }
       case 4: {
         if (!files.empty()) {
-          const std::string& f = rng.Pick(files);
+          // A copy: the push_back below may reallocate `files`.
+          const std::string f = rng.Pick(files);
           std::string to = f + "_r";
           auto r1 = layered.fs->Rename(f, to);
           auto r2 = raw.fs->Rename(f, to);

@@ -58,6 +58,22 @@ TEST(GlimpseModeTest, DeletedFilesDangleOnlyUntilTheNextEvaluation) {
   EXPECT_TRUE(fs.ReadDir("/fp").value().empty());
 }
 
+TEST(GlimpseModeTest, NotDirRefSurvivesContentVerification) {
+  // Verification re-checks file text, which cannot tell whether a file is in
+  // /ridge: the dir() leaf must not reject b.txt, which the index kept.
+  HacFileSystem fs(GlimpseMode());
+  ASSERT_TRUE(fs.Mkdir("/d").ok());
+  ASSERT_TRUE(fs.WriteFile("/d/a.txt", "fingerprint ridge").ok());
+  ASSERT_TRUE(fs.WriteFile("/d/b.txt", "fingerprint murder").ok());
+  ASSERT_TRUE(fs.Reindex().ok());
+  ASSERT_TRUE(fs.SMkdir("/ridge", "ridge").ok());
+  ASSERT_EQ(fs.ReadDir("/ridge").value().size(), 1u);
+  EXPECT_EQ(fs.Search("fingerprint AND NOT dir(/ridge)", "/d").value(),
+            std::vector<std::string>{"/d/b.txt"});
+  ASSERT_TRUE(fs.SMkdir("/fp", "fingerprint AND NOT dir(/ridge)").ok());
+  EXPECT_EQ(fs.ReadDir("/fp").value().size(), 1u);
+}
+
 TEST(GlimpseModeTest, ProhibitedAndPermanentStillRespected) {
   HacFileSystem fs(GlimpseMode());
   ASSERT_TRUE(fs.Mkdir("/d").ok());

@@ -124,6 +124,24 @@ TEST(SActTest, RespectsBooleanQuery) {
   EXPECT_EQ(lines.value(), std::vector<std::string>{"fingerprint ridge alone"});
 }
 
+TEST(SActTest, NotDirRefKeepsContentMatches) {
+  // A line cannot be judged against dir(/ridge) from its text, so NOT dir(/ridge)
+  // is unknown and the line's content decides.
+  HacFileSystem fs;
+  ASSERT_TRUE(fs.Mkdir("/d").ok());
+  ASSERT_TRUE(fs.WriteFile("/d/a.txt", "fingerprint ridge\n").ok());
+  ASSERT_TRUE(fs.WriteFile("/d/b.txt",
+                           "fingerprint murder\n"
+                           "just cooking notes\n")
+                  .ok());
+  ASSERT_TRUE(fs.Reindex().ok());
+  ASSERT_TRUE(fs.SMkdir("/ridge", "ridge").ok());
+  ASSERT_TRUE(fs.SMkdir("/q", "fingerprint AND NOT dir(/ridge)").ok());
+  auto lines = fs.SAct("/q/b.txt");
+  ASSERT_TRUE(lines.ok());
+  EXPECT_EQ(lines.value(), std::vector<std::string>{"fingerprint murder"});
+}
+
 TEST(SActTest, FailsOnSyntacticDirectory) {
   HacFileSystem fs;
   ASSERT_TRUE(fs.Mkdir("/d").ok());

@@ -113,6 +113,19 @@ TEST_F(InvertedIndexTest, MatchesTextAgreesWithIndex) {
   EXPECT_FALSE(idx_.MatchesText(*prefix, "no match"));
 }
 
+TEST_F(InvertedIndexTest, MatchesTextTreatsDirRefsAsUnknown) {
+  // Text alone cannot say whether a file is in a directory: a dir() leaf is
+  // unknown, and only a definitely false answer rejects the text.
+  auto not_dir = ParseQuery("fingerprint AND NOT dir(/x)").value();
+  EXPECT_TRUE(idx_.MatchesText(*not_dir, "fingerprint murder"));
+  EXPECT_FALSE(idx_.MatchesText(*not_dir, "butter flour"));
+  auto or_dir = ParseQuery("fingerprint OR dir(/x)").value();
+  EXPECT_TRUE(idx_.MatchesText(*or_dir, "butter flour"));
+  auto and_not = ParseQuery("NOT (fingerprint OR dir(/x))").value();
+  EXPECT_FALSE(idx_.MatchesText(*and_not, "fingerprint murder"));
+  EXPECT_TRUE(idx_.MatchesText(*and_not, "butter flour"));
+}
+
 TEST_F(InvertedIndexTest, DirRefWithoutResolverFails) {
   auto ast = QueryExpr::BoundDirRef(5);
   EXPECT_EQ(idx_.Evaluate(*ast, scope_, nullptr).code(), ErrorCode::kInvalidArgument);
@@ -141,6 +154,9 @@ TEST_F(InvertedIndexTest, ResolverErrorPropagates) {
     return Error(ErrorCode::kNotFound, "gone");
   };
   EXPECT_EQ(idx_.Evaluate(*ast, scope_, &resolver).code(), ErrorCode::kNotFound);
+  // Every leaf is built, so an empty left operand does not mask the failure.
+  auto masked = QueryExpr::And(QueryExpr::Term("nonexistent"), QueryExpr::BoundDirRef(9));
+  EXPECT_EQ(idx_.Evaluate(*masked, scope_, &resolver).code(), ErrorCode::kNotFound);
 }
 
 TEST_F(InvertedIndexTest, IndexSizeGrowsWithContent) {
@@ -155,18 +171,19 @@ TEST_F(InvertedIndexTest, StopwordsNeverMatch) {
   EXPECT_TRUE(Eval(idx_, "the", Bitmap::AllUpTo(12)).Empty());
 }
 
-// --- fast-path equivalence: sparse scopes and sorted-id term intersection ---
+// --- sparse scopes and skewed term intersections ---
 //
-// The kTerm sparse-scope probe and the kAnd galloping intersection are pure
-// evaluation-strategy choices; these tests build corpora on both sides of the
-// density thresholds and require identical answers.
+// A sparse scope leapfrogs a dense term's posting list, and a skewed term-AND-term
+// gallops the larger list; both are cursor-tree behaviours with no answer of their
+// own. These tests cover sparse and dense scopes, skewed and balanced operands,
+// and require the plain set-algebra answer every time.
 
 class FastPathTest : public ::testing::Test {
  protected:
   void SetUp() override {
     // "common" in every doc, "rare" in every 40th (50 docs), "sparse" in two docs —
-    // wide id space (kDocs >> posting sizes) so the density cutover triggers, and
-    // |rare| >= kGallopSkew * |sparse| so their AND takes the galloping path.
+    // a wide id space (kDocs >> posting sizes), and |rare| = 25 * |sparse| so
+    // their AND gallops over "rare".
     for (uint32_t doc = 0; doc < kDocs; ++doc) {
       std::string text = "common filler";
       if (doc % 40 == 0) {
@@ -184,7 +201,7 @@ class FastPathTest : public ::testing::Test {
 };
 
 TEST_F(FastPathTest, SparseScopeProbeMatchesBitmapPath) {
-  // |scope| * 8 < |postings("common")| = 2000: takes the probe path.
+  // A 4-doc scope over a 2000-doc posting list: the scope drives the AND.
   Bitmap sparse_scope;
   sparse_scope.Set(0);
   sparse_scope.Set(40);
@@ -192,7 +209,7 @@ TEST_F(FastPathTest, SparseScopeProbeMatchesBitmapPath) {
   sparse_scope.Set(1999);
   EXPECT_EQ(Eval(idx_, "common", sparse_scope), sparse_scope);
   EXPECT_EQ(Eval(idx_, "rare", sparse_scope).ToIds(), (std::vector<uint32_t>{0, 40}));
-  // A dense scope takes the bitmap path; results must agree on the overlap.
+  // A dense scope: results must agree on the overlap.
   Bitmap dense_scope = Bitmap::AllUpTo(kDocs);
   Bitmap dense_rare = Eval(idx_, "rare", dense_scope);
   EXPECT_EQ(dense_rare.Count(), kDocs / 40);
@@ -203,11 +220,10 @@ TEST_F(FastPathTest, SparseScopeProbeMatchesBitmapPath) {
 
 TEST_F(FastPathTest, SortedIdAndMatchesGenericEvaluation) {
   Bitmap scope = Bitmap::AllUpTo(kDocs);
-  // rare(50) AND sparse(2): combined density below the cutover AND a >= kGallopSkew
-  // size skew — the galloping sorted-id path. 800 = 40*20 is in both.
+  // rare(50) AND sparse(2): a 25x size skew, so "rare" is galloped.
+  // 800 = 40*20 is in both.
   EXPECT_EQ(Eval(idx_, "rare AND sparse", scope).ToIds(), std::vector<uint32_t>{800});
-  // sparse AND common: combined size ~kDocs, too dense — the generic bitmap path.
-  // Both strategies must agree.
+  // sparse AND common: "common" covers every doc, the densest operand there is.
   EXPECT_EQ(Eval(idx_, "sparse AND common", scope).ToIds(),
             (std::vector<uint32_t>{800, 1111}));
   // Restricted scope: the scope filter applies after intersection.

@@ -144,11 +144,13 @@ TEST(CursorTreeTest, NestedCombinatorsMatchSetAlgebra) {
   EXPECT_EQ(Drain(c), (std::vector<uint32_t>{1, 2, 8, 10}));
 }
 
-// --- cursor-vs-Evaluate equivalence over a randomized corpus -------------------
+// --- cursor and Evaluate against a brute-force oracle --------------------------
 //
-// The eager bitmap path is the oracle: for every generated query, draining the
-// cursor tree must yield exactly Evaluate()'s bitmap, ids in order. This is the
-// same ablation bench_streaming gates, shrunk to unit-test size.
+// The oracle never touches the posting lists: it scans every in-scope document
+// and asks MatchesText whether its stored body satisfies the query. For every
+// generated query, both the cursor tree (ids in order) and Evaluate()'s bitmap,
+// which drains that tree, must equal the scan. This is the same ablation
+// bench_streaming gates, shrunk to unit-test size.
 
 class CursorEquivalenceTest : public ::testing::Test {
  protected:
@@ -164,6 +166,7 @@ class CursorEquivalenceTest : public ::testing::Test {
         body += ' ';
       }
       ASSERT_TRUE(idx_.IndexDocument(doc, body).ok());
+      bodies_.push_back(body);
     }
     // A scope with holes, so NOT/scope interaction is exercised.
     for (uint32_t doc = 0; doc < 200; ++doc) {
@@ -171,6 +174,29 @@ class CursorEquivalenceTest : public ::testing::Test {
         scope_.Set(doc);
       }
     }
+  }
+
+  // In-scope docs whose stored body satisfies `query`, and — when `fetch` is
+  // given — whose fetched content does too (the two-level verification).
+  std::vector<uint32_t> Oracle(const std::string& query,
+                               const InvertedIndex::ContentFetcher& fetch = nullptr) {
+    auto ast = ParseQuery(query);
+    EXPECT_TRUE(ast.ok()) << query;
+    std::vector<uint32_t> out;
+    for (uint32_t doc = 0; doc < bodies_.size(); ++doc) {
+      if (scope_.Test(doc) && idx_.MatchesText(*ast.value(), bodies_[doc]) &&
+          (!fetch || idx_.MatchesText(*ast.value(), fetch(doc).value()))) {
+        out.push_back(doc);
+      }
+    }
+    return out;
+  }
+
+  void ExpectMatchesOracle(const std::string& query,
+                           const InvertedIndex::ContentFetcher& fetch = nullptr) {
+    const std::vector<uint32_t> want = Oracle(query, fetch);
+    EXPECT_EQ(EvalCursor(query), want) << query;
+    EXPECT_EQ(EvalEager(query), want) << query;
   }
 
   std::vector<uint32_t> EvalEager(const std::string& query) {
@@ -195,6 +221,7 @@ class CursorEquivalenceTest : public ::testing::Test {
   }
 
   InvertedIndex idx_;
+  std::vector<std::string> bodies_;  // indexed text, by doc id
   Bitmap scope_;
 };
 
@@ -204,7 +231,7 @@ TEST_F(CursorEquivalenceTest, HandWrittenQueries) {
         "alpha AND NOT bravo", "(alpha OR bravo) AND (charlie OR delta)",
         "al*", "z*", "NOT (alpha OR bravo OR charlie)",
         "alpha AND bravo AND charlie AND delta", "missingterm"}) {
-    EXPECT_EQ(EvalCursor(q), EvalEager(q)) << q;
+    ExpectMatchesOracle(q);
   }
 }
 
@@ -227,22 +254,22 @@ TEST_F(CursorEquivalenceTest, RandomizedQueryCorpus) {
     }
   };
   for (int i = 0; i < 200; ++i) {
-    const std::string q = gen(3);
-    EXPECT_EQ(EvalCursor(q), EvalEager(q)) << q;
+    ExpectMatchesOracle(gen(3));
   }
 }
 
 TEST_F(CursorEquivalenceTest, ContentVerifierAppliesLazily) {
-  // Reject every odd doc at verification time; the cursor path must apply the
-  // same two-level check Evaluate() does.
-  idx_.SetContentVerifier([](DocId doc) -> Result<std::string> {
+  // Reject every odd doc at verification time; the cursor must apply the
+  // two-level check to every match it yields.
+  const InvertedIndex::ContentFetcher fetch = [](DocId doc) -> Result<std::string> {
     if (doc % 2 == 1) {
       return std::string("unrelated words only");
     }
     return std::string("alpha bravo charlie delta echo fox golf hotel");
-  });
+  };
+  idx_.SetContentVerifier(fetch);
   for (const char* q : {"alpha", "alpha AND bravo", "alpha OR hotel"}) {
-    EXPECT_EQ(EvalCursor(q), EvalEager(q)) << q;
+    ExpectMatchesOracle(q, fetch);
   }
 }
 
