@@ -342,13 +342,6 @@ ScaleResult RunConnectionScale(int connections, int total_ops) {
 
   std::vector<std::vector<double>> latencies(static_cast<size_t>(connections));
   std::vector<char> clean(static_cast<size_t>(connections), 1);
-  Histogram& writev =
-      MetricsRegistry::Global().GetHistogram(metric_names::kServerWritevFrames);
-  const uint64_t wv_count0 = writev.Count();
-  const uint64_t wv_sum0 = writev.Sum();
-  Counter& bytes_out =
-      MetricsRegistry::Global().GetCounter(metric_names::kServerBytesOut);
-  const uint64_t bytes_out0 = bytes_out.Value();
 
   std::vector<std::thread> clients;
   BenchTimer wall;
@@ -415,14 +408,15 @@ ScaleResult RunConnectionScale(int connections, int total_ops) {
   r.p50_us = Percentile(all, 0.50);
   r.p95_us = Percentile(all, 0.95);
   r.p99_us = Percentile(all, 0.99);
-  const uint64_t wv_count = writev.Count() - wv_count0;
-  r.writev_mean = wv_count == 0 ? 0
-                                : static_cast<double>(writev.Sum() - wv_sum0) /
-                                      static_cast<double>(wv_count);
-  r.bytes_per_frame = r.total_ops == 0
-                          ? 0
-                          : static_cast<double>(bytes_out.Value() - bytes_out0) /
-                                static_cast<double>(r.total_ops);
+  // The server is fresh, so its own registry holds exactly this run's transport.
+  for (const HistogramSnapshot& h : server.metrics().Snapshot().histograms) {
+    if (h.name == metric_names::kServerWritevFrames) {
+      r.writev_mean = h.mean;
+    }
+  }
+  r.bytes_per_frame = r.total_ops == 0 ? 0
+                                       : static_cast<double>(server.Stats().bytes_out) /
+                                             static_cast<double>(r.total_ops);
   r.digest = StateDigest(*fs);
   for (char ok : clean) {
     r.clean = r.clean && ok != 0;
@@ -488,7 +482,6 @@ int RunConnectionScaling(bool json, const std::vector<int>& counts) {
     out.Add("bench", "server_connection_scaling")
         .Add("total_ops_target", static_cast<uint64_t>(total_ops))
         .Add("hardware_threads", static_cast<uint64_t>(hw))
-        .AddBool("metrics_enabled", kMetricsCompiledIn)
         .Add("rows", rows)
         .AddBool("digests_match", digests_match)
         .AddBool("all_clean", all_clean)
@@ -559,7 +552,6 @@ int RunAll(bool json, const std::vector<Transport>& transports) {
       .Add("ops_per_thread", static_cast<uint64_t>(ops_per_thread))
       .Add("hardware_threads",
            static_cast<uint64_t>(std::thread::hardware_concurrency()))
-      .AddBool("metrics_enabled", kMetricsCompiledIn)
       .Add("rows", rows)
       .Add("read_heavy_scaling_1_to_8", scaling);
   WriteBenchArtifact("BENCH_server_throughput.json", out);

@@ -2,13 +2,12 @@
 // "helps to speed up Scan and Read operations". Caches Stat results by inode; mutations
 // invalidate. Shared across all HAC processes (the paper stores it in UNIX shared
 // memory for the same reason) — and, under the hacd service layer, across concurrent
-// reader threads, so the map is guarded by a mutex and the hit/miss counters are
-// atomic. The critical sections are a hash probe or a hash insert; Stat itself is
-// computed outside the lock.
+// reader threads, so the map is guarded by a mutex. The critical sections are a hash
+// probe or a hash insert; Stat itself is computed outside the lock. Hits and misses
+// are counted by the facade, in its metrics registry.
 #ifndef HAC_CORE_ATTRIBUTE_CACHE_H_
 #define HAC_CORE_ATTRIBUTE_CACHE_H_
 
-#include <atomic>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -20,15 +19,11 @@ namespace hac {
 class AttributeCache {
  public:
   std::optional<Stat> Get(InodeId inode) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = cache_.find(inode);
-      if (it != cache_.end()) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return it->second;
-      }
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = cache_.find(inode);
+    if (it != cache_.end()) {
+      return it->second;
     }
-    misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
 
@@ -46,8 +41,6 @@ class AttributeCache {
     cache_.clear();
   }
 
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   size_t EntryCount() const {
     std::lock_guard<std::mutex> lock(mu_);
     return cache_.size();
@@ -60,8 +53,6 @@ class AttributeCache {
  private:
   mutable std::mutex mu_;
   std::unordered_map<InodeId, Stat> cache_;
-  std::atomic<uint64_t> hits_ = 0;
-  std::atomic<uint64_t> misses_ = 0;
 };
 
 }  // namespace hac

@@ -4,25 +4,11 @@
 
 #include <algorithm>
 
-#include "src/support/metric_names.h"
-#include "src/support/metrics.h"
 #include "src/vfs/path.h"
 
 namespace hac {
 
 namespace {
-
-Counter& AttrCacheHitCounter() {
-  static Counter& c =
-      MetricsRegistry::Global().GetCounter(metric_names::kAttrCacheHits);
-  return c;
-}
-
-Counter& AttrCacheMissCounter() {
-  static Counter& c =
-      MetricsRegistry::Global().GetCounter(metric_names::kAttrCacheMisses);
-  return c;
-}
 
 // Absolute, normalized form of a symlink target as written in `dir_path`.
 std::string AbsoluteLinkTarget(const std::string& dir_path, const std::string& target) {
@@ -198,10 +184,9 @@ Result<std::vector<DirEntry>> HacFileSystem::ReadDir(const std::string& path) {
 
 uint64_t HacFileSystem::MutationEpoch() const {
   // Journaled records cover every acknowledged user mutation; reindexing settles
-  // deferred data consistency without journaling, so its ingest/purge counters
-  // fold in too. Monotone: drains don't reset RecordCount().
-  return journal_.RecordCount() + stats_.docs_indexed.load(std::memory_order_relaxed) +
-         stats_.docs_purged.load(std::memory_order_relaxed);
+  // deferred data consistency without journaling, so its ingest/purge count
+  // folds in too. Monotone: drains don't reset RecordCount().
+  return journal_.RecordCount() + index_changes_.load(std::memory_order_relaxed);
 }
 
 namespace {
@@ -597,12 +582,10 @@ Result<Stat> HacFileSystem::StatPath(const std::string& path) {
   // Phase-3 path: resolve, then consult the shared attribute cache.
   HAC_ASSIGN_OR_RETURN(InodeId inode, vfs_.Lookup(r.path, /*follow_final=*/true));
   if (auto cached = attr_cache_.Get(inode); cached.has_value()) {
-    ++stats_.attr_cache_hits;
-    AttrCacheHitCounter().Inc();
+    counters_.attr_cache_hits.Inc();
     return *cached;
   }
-  ++stats_.attr_cache_misses;
-  AttrCacheMissCounter().Inc();
+  counters_.attr_cache_misses.Inc();
   HAC_ASSIGN_OR_RETURN(Stat st, vfs_.StatPath(r.path));
   attr_cache_.Put(inode, st);
   return st;
@@ -634,9 +617,23 @@ Result<void> HacFileSystem::SetCurrentProcess(ProcessId pid) {
 }
 
 StatsSnapshot HacFileSystem::Stats() const {
-  StatsSnapshot s = stats_;
-  s.attr_cache_hits = attr_cache_.hits();
-  s.attr_cache_misses = attr_cache_.misses();
+  const FacadeMetrics& c = counters_;
+  StatsSnapshot s;
+  s.query_evaluations = c.query_evaluations.Value();
+  s.delta_evaluations = c.delta_evaluations.Value();
+  s.scope_propagations = c.scope_propagations.Value();
+  s.short_circuit_propagations = c.short_circuits.Value();
+  s.batch_flushes = c.batch_flushes.Value();
+  s.batched_mutations = c.batched_mutations.Value();
+  s.transient_links_added = c.transient_added.Value();
+  s.transient_links_removed = c.transient_removed.Value();
+  s.docs_indexed = c.docs_indexed.Value();
+  s.docs_purged = c.docs_purged.Value();
+  s.auto_reindexes = c.auto_reindexes.Value();
+  s.remote_searches = c.remote_searches.Value();
+  s.remote_imports = c.remote_imports.Value();
+  s.attr_cache_hits = c.attr_cache_hits.Value();
+  s.attr_cache_misses = c.attr_cache_misses.Value();
   s.index = index_->Stats();
   s.vfs = vfs_.stats();
   return s;

@@ -17,6 +17,7 @@
 #ifndef HAC_CORE_HAC_FILE_SYSTEM_H_
 #define HAC_CORE_HAC_FILE_SYSTEM_H_
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -195,6 +196,8 @@ class HacFileSystem final : public FsInterface {
   }
   // Unified counter snapshot: facade counters plus the index and VFS component views.
   StatsSnapshot Stats() const;
+  // The facade's own metrics registry, a child of MetricsRegistry::Global().
+  const MetricsRegistry& metrics() const { return metrics_; }
 
   // Scope a directory provides to its children (syntactic directories inherit their
   // parent's scope in addition to their own contents).
@@ -253,9 +256,13 @@ class HacFileSystem final : public FsInterface {
   // because readers run concurrently under the service's shared lock.
   Result<Bitmap> CachedDirContents(DirUid uid) const;
 
-  // Search and SearchPage's shared front half: parses `query`, binds its dir()
-  // references to UIDs and optimizes it, and loads the contents of the routed
-  // local directory `scope_path` as the scope.
+  // Parses `query` and binds its dir() references to directory UIDs (SetQuery,
+  // Search and SearchPage share it).
+  Result<QueryExprPtr> ParseBoundQuery(const std::string& query) const;
+
+  // Search and SearchPage's shared front half: ParseBoundQuery, then optimizes the
+  // query and loads the contents of the routed local directory `scope_path` as the
+  // scope.
   struct PreparedSearch {
     QueryExprPtr query;
     Bitmap scope;
@@ -287,6 +294,9 @@ class HacFileSystem final : public FsInterface {
   static QueryExprPtr ContentOnly(const QueryExpr& query);
 
   HacOptions options_;
+  // Declared first so every member below may record into it while it lives.
+  MetricsRegistry metrics_{MetricsRegistry::Global()};
+  FacadeMetrics counters_{metrics_};
   FileSystem vfs_;
   std::unique_ptr<InvertedIndex> index_;
   FileRegistry registry_;
@@ -307,7 +317,9 @@ class HacFileSystem final : public FsInterface {
   ProcessId current_process_ = 0;
 
   std::unique_ptr<ConsistencyEngine> engine_;
-  StatsSnapshot stats_;
+  // Reindex ingests plus purges: MutationEpoch()'s share of index changes. Control
+  // state, not a metric, so MetricsRegistry::ResetForTest() cannot rewind it.
+  std::atomic<uint64_t> index_changes_ = 0;
   uint64_t content_mutations_since_reindex_ = 0;
   uint64_t last_reindex_tick_ = 0;
   bool batch_had_content_mutation_ = false;  // auto-reindex check deferred to EndBatch

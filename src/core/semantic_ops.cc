@@ -47,7 +47,7 @@ Result<void> HacFileSystem::SetQuery(const std::string& path, const std::string&
       }
       (void)meta->links.RemoveLink(name.value());
       (void)vfs_.Unlink(JoinPath(r.path == "/" ? "" : r.path, name.value()));
-      ++stats_.transient_links_removed;
+      counters_.transient_removed.Inc();
     });
     HAC_RETURN_IF_ERROR(status);
     HAC_ASSIGN_OR_RETURN(std::vector<DirUid> deps, ComputeDeps(uid, r.path, nullptr));
@@ -57,23 +57,7 @@ Result<void> HacFileSystem::SetQuery(const std::string& path, const std::string&
     return engine_->NotifyScopeChanged(uid, &old_transient);
   }
 
-  HAC_ASSIGN_OR_RETURN(QueryExprPtr ast, ParseQuery(query));
-  // Bind dir() references to stable UIDs (section 2.5): queries never store paths.
-  std::vector<QueryExpr*> refs;
-  ast->CollectDirRefs(refs);
-  for (QueryExpr* ref : refs) {
-    if (ref->dir_uid != kInvalidDirUid) {
-      continue;  // pre-bound (programmatic queries)
-    }
-    std::string ref_path = NormalizePath(ref->text);
-    if (ref_path.empty()) {
-      return Error(ErrorCode::kInvalidArgument,
-                   "dir() needs an absolute path: " + ref->text);
-    }
-    HAC_ASSIGN_OR_RETURN(DirUid ref_uid, uid_map_.UidOf(ref_path));
-    ref->dir_uid = ref_uid;
-    ref->text.clear();
-  }
+  HAC_ASSIGN_OR_RETURN(QueryExprPtr ast, ParseBoundQuery(query));
   HAC_ASSIGN_OR_RETURN(std::vector<DirUid> deps, ComputeDeps(uid, r.path, ast.get()));
   // Cycle rejection happens here, before any state changes.
   HAC_RETURN_IF_ERROR(graph_.SetDependencies(uid, deps));
@@ -140,20 +124,27 @@ Result<std::vector<std::string>> HacFileSystem::SAct(const std::string& link_pat
   return matching;
 }
 
-Result<HacFileSystem::PreparedSearch> HacFileSystem::PrepareSearch(
-    const std::string& query, const std::string& scope_path) {
+Result<QueryExprPtr> HacFileSystem::ParseBoundQuery(const std::string& query) const {
   HAC_ASSIGN_OR_RETURN(QueryExprPtr ast, ParseQuery(query));
+  // Bind dir() references to stable UIDs (section 2.5): queries never store paths.
   std::vector<QueryExpr*> refs;
   ast->CollectDirRefs(refs);
   for (QueryExpr* ref : refs) {
     std::string ref_path = NormalizePath(ref->text);
     if (ref_path.empty()) {
-      return Error(ErrorCode::kInvalidArgument, "dir() needs an absolute path");
+      return Error(ErrorCode::kInvalidArgument,
+                   "dir() needs an absolute path: " + ref->text);
     }
     HAC_ASSIGN_OR_RETURN(DirUid ref_uid, uid_map_.UidOf(ref_path));
     ref->dir_uid = ref_uid;
     ref->text.clear();
   }
+  return ast;
+}
+
+Result<HacFileSystem::PreparedSearch> HacFileSystem::PrepareSearch(
+    const std::string& query, const std::string& scope_path) {
+  HAC_ASSIGN_OR_RETURN(QueryExprPtr ast, ParseBoundQuery(query));
   HAC_ASSIGN_OR_RETURN(DirUid scope_uid, uid_map_.UidOf(scope_path));
   HAC_ASSIGN_OR_RETURN(Bitmap scope, CachedDirContents(scope_uid));
   DirResolver resolver = [this](DirUid uid) -> Result<Bitmap> {

@@ -1,81 +1,91 @@
-// One unified counter surface for the whole stack. HacFileSystem::Stats() returns a
+// One counter surface for the whole stack. HacFileSystem::Stats() returns a
 // StatsSnapshot that flattens the facade's own counters and embeds the component views
 // (the index's CbaStats, the VFS's FsStats) that used to require three separate calls.
 //
-// The facade counters are std::atomic so the live instance inside HacFileSystem can be
-// bumped from concurrent service workers and snapshotted from a monitoring thread
-// without a data race (the hacd service layer calls Stats() under its shared lock).
-// Field names are unchanged; ++ maps onto an atomic RMW, plain reads onto loads, and
-// copying takes a relaxed field-by-field snapshot — so a StatsSnapshot returned by
-// Stats() still behaves like the plain value type it always was.
+// The facade counts its events in one place: FacadeMetrics, resolved once in the
+// facade's own MetricsRegistry (a child of MetricsRegistry::Global(), so the global
+// view sums every facade in the process). StatsSnapshot is a plain value that
+// Stats() fills from those counters.
 #ifndef HAC_CORE_STATS_SNAPSHOT_H_
 #define HAC_CORE_STATS_SNAPSHOT_H_
 
-#include <atomic>
 #include <cstdint>
 
 #include "src/index/cba.h"
+#include "src/support/metric_names.h"
+#include "src/support/metrics.h"
 #include "src/vfs/fs_stats.h"
 
 namespace hac {
 
 struct StatsSnapshot {
   // --- scope-consistency engine ---
-  std::atomic<uint64_t> query_evaluations = 0;   // full query evaluations (cold cache, eager mode)
-  std::atomic<uint64_t> delta_evaluations = 0;   // incremental re-evaluations over a delta bitmap
-  std::atomic<uint64_t> scope_propagations = 0;  // directories actually recomputed by passes
-  std::atomic<uint64_t> short_circuit_propagations = 0;  // visits skipped: nothing upstream changed
-  std::atomic<uint64_t> batch_flushes = 0;       // batched passes run (EndBatch or a forced flush)
-  std::atomic<uint64_t> batched_mutations = 0;   // mutations coalesced inside Begin/EndBatch
-  std::atomic<uint64_t> transient_links_added = 0;
-  std::atomic<uint64_t> transient_links_removed = 0;
+  uint64_t query_evaluations = 0;   // full query evaluations (cold cache, eager mode)
+  uint64_t delta_evaluations = 0;   // incremental re-evaluations over a delta bitmap
+  uint64_t scope_propagations = 0;  // directories actually recomputed by passes
+  uint64_t short_circuit_propagations = 0;  // visits skipped: nothing upstream changed
+  uint64_t batch_flushes = 0;       // batched passes run (EndBatch or a forced flush)
+  uint64_t batched_mutations = 0;   // mutations coalesced inside Begin/EndBatch
+  uint64_t transient_links_added = 0;
+  uint64_t transient_links_removed = 0;
 
   // --- deferred data consistency ---
-  std::atomic<uint64_t> docs_indexed = 0;
-  std::atomic<uint64_t> docs_purged = 0;
-  std::atomic<uint64_t> auto_reindexes = 0;
+  uint64_t docs_indexed = 0;
+  uint64_t docs_purged = 0;
+  uint64_t auto_reindexes = 0;
 
   // --- remote semantic mounts ---
-  std::atomic<uint64_t> remote_searches = 0;
-  std::atomic<uint64_t> remote_imports = 0;
+  uint64_t remote_searches = 0;
+  uint64_t remote_imports = 0;
 
   // --- shared attribute cache ---
-  std::atomic<uint64_t> attr_cache_hits = 0;
-  std::atomic<uint64_t> attr_cache_misses = 0;
+  uint64_t attr_cache_hits = 0;
+  uint64_t attr_cache_misses = 0;
 
   // --- component views ---
   CbaStats index;  // content-based access mechanism (documents, terms, postings)
   FsStats vfs;     // underlying VFS call counts
+};
 
-  StatsSnapshot() = default;
-  StatsSnapshot(const StatsSnapshot& other) { CopyFrom(other); }
-  StatsSnapshot& operator=(const StatsSnapshot& other) {
-    CopyFrom(other);
-    return *this;
-  }
+// The facade's metrics, resolved once in its registry: the consistency engine,
+// reindexing, remote mounts and the attribute cache record here and nowhere else.
+struct FacadeMetrics {
+  explicit FacadeMetrics(MetricsRegistry& reg)
+      : query_evaluations(reg.GetCounter(metric_names::kConsistencyQueryEvaluations)),
+        delta_evaluations(reg.GetCounter(metric_names::kConsistencyDeltaEvaluations)),
+        scope_propagations(reg.GetCounter(metric_names::kConsistencyScopePropagations)),
+        short_circuits(reg.GetCounter(metric_names::kConsistencyShortCircuits)),
+        batch_flushes(reg.GetCounter(metric_names::kConsistencyBatchFlushes)),
+        batched_mutations(reg.GetCounter(metric_names::kConsistencyBatchedMutations)),
+        passes(reg.GetCounter(metric_names::kConsistencyPasses)),
+        transient_added(reg.GetCounter(metric_names::kLinksTransientAdded)),
+        transient_removed(reg.GetCounter(metric_names::kLinksTransientRemoved)),
+        docs_indexed(reg.GetCounter(metric_names::kReindexDocsIndexed)),
+        docs_purged(reg.GetCounter(metric_names::kReindexDocsPurged)),
+        auto_reindexes(reg.GetCounter(metric_names::kReindexAuto)),
+        remote_searches(reg.GetCounter(metric_names::kRemoteSearches)),
+        remote_imports(reg.GetCounter(metric_names::kRemoteImports)),
+        attr_cache_hits(reg.GetCounter(metric_names::kAttrCacheHits)),
+        attr_cache_misses(reg.GetCounter(metric_names::kAttrCacheMisses)),
+        pass_us(reg.GetHistogram(metric_names::kConsistencyPassUs)) {}
 
- private:
-  void CopyFrom(const StatsSnapshot& other) {
-    query_evaluations = other.query_evaluations.load(std::memory_order_relaxed);
-    delta_evaluations = other.delta_evaluations.load(std::memory_order_relaxed);
-    scope_propagations = other.scope_propagations.load(std::memory_order_relaxed);
-    short_circuit_propagations =
-        other.short_circuit_propagations.load(std::memory_order_relaxed);
-    batch_flushes = other.batch_flushes.load(std::memory_order_relaxed);
-    batched_mutations = other.batched_mutations.load(std::memory_order_relaxed);
-    transient_links_added = other.transient_links_added.load(std::memory_order_relaxed);
-    transient_links_removed =
-        other.transient_links_removed.load(std::memory_order_relaxed);
-    docs_indexed = other.docs_indexed.load(std::memory_order_relaxed);
-    docs_purged = other.docs_purged.load(std::memory_order_relaxed);
-    auto_reindexes = other.auto_reindexes.load(std::memory_order_relaxed);
-    remote_searches = other.remote_searches.load(std::memory_order_relaxed);
-    remote_imports = other.remote_imports.load(std::memory_order_relaxed);
-    attr_cache_hits = other.attr_cache_hits.load(std::memory_order_relaxed);
-    attr_cache_misses = other.attr_cache_misses.load(std::memory_order_relaxed);
-    index = other.index;
-    vfs = other.vfs;
-  }
+  Counter& query_evaluations;
+  Counter& delta_evaluations;
+  Counter& scope_propagations;
+  Counter& short_circuits;
+  Counter& batch_flushes;
+  Counter& batched_mutations;
+  Counter& passes;
+  Counter& transient_added;
+  Counter& transient_removed;
+  Counter& docs_indexed;
+  Counter& docs_purged;
+  Counter& auto_reindexes;
+  Counter& remote_searches;
+  Counter& remote_imports;
+  Counter& attr_cache_hits;
+  Counter& attr_cache_misses;
+  Histogram& pass_us;
 };
 
 }  // namespace hac

@@ -12,27 +12,19 @@ namespace hac {
 
 namespace {
 
-struct IndexMetrics {
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  Counter& queries = reg.GetCounter(metric_names::kIndexQueries);
-  Counter& docs_indexed = reg.GetCounter(metric_names::kIndexDocsIndexed);
-  Counter& docs_removed = reg.GetCounter(metric_names::kIndexDocsRemoved);
-  Histogram& query_us = reg.GetHistogram(metric_names::kIndexQueryUs);
-  Histogram& selectivity_pct =
-      reg.GetHistogram(metric_names::kIndexQuerySelectivityPct, "pct");
-};
-
-IndexMetrics& GM() {
-  static IndexMetrics* m = new IndexMetrics();
-  return *m;
-}
-
 // Prefix/approx nodes expand to one posting list per matching dictionary term.
 // Up to this many expand as a lazy OR of span cursors; beyond it the O(fanout)
 // per-step minimum scan loses to materializing the union bitmap once.
 constexpr size_t kCursorOrFanout = 16;
 
 }  // namespace
+
+InvertedIndex::Metrics::Metrics(MetricsRegistry& reg)
+    : queries(reg.GetCounter(metric_names::kIndexQueries)),
+      docs_indexed(reg.GetCounter(metric_names::kIndexDocsIndexed)),
+      docs_removed(reg.GetCounter(metric_names::kIndexDocsRemoved)),
+      query_us(reg.GetHistogram(metric_names::kIndexQueryUs)),
+      selectivity_pct(reg.GetHistogram(metric_names::kIndexQuerySelectivityPct, "pct")) {}
 
 InvertedIndex::InvertedIndex(TokenizerOptions tokenizer_options)
     : tokenizer_(tokenizer_options) {}
@@ -59,7 +51,7 @@ Result<void> InvertedIndex::IndexDocument(DocId doc, std::string_view text) {
     term_ids.push_back(id);
   }
   doc_terms_.emplace(doc, std::move(term_ids));
-  GM().docs_indexed.Inc();
+  counters_.docs_indexed.Inc();
   return OkResult();
 }
 
@@ -72,14 +64,14 @@ Result<void> InvertedIndex::RemoveDocument(DocId doc) {
     postings_[id].Remove(doc);
   }
   doc_terms_.erase(it);
-  GM().docs_removed.Inc();
+  counters_.docs_removed.Inc();
   return OkResult();
 }
 
 Result<Bitmap> InvertedIndex::Evaluate(const QueryExpr& query, const Bitmap& scope,
                                        const DirResolver* resolve_dir) {
   TraceSpan span(metric_names::kSpanIndexEvaluate);
-  const uint64_t t0 = kMetricsCompiledIn ? TraceRing::NowUs() : 0;
+  const uint64_t t0 = TraceRing::NowUs();
   HAC_ASSIGN_OR_RETURN(PostingCursorPtr cursor, OpenCursor(query, scope, resolve_dir));
   // Every match lies inside the scope, so its capacity bounds the result's.
   Bitmap result(scope.CapacityBits());
@@ -87,25 +79,22 @@ Result<Bitmap> InvertedIndex::Evaluate(const QueryExpr& query, const Bitmap& sco
        doc = cursor->Next()) {
     result.Set(doc);
   }
-  if (kMetricsCompiledIn) {
-    GM().query_us.Record(TraceRing::NowUs() - t0);
-    const uint64_t scope_count = scope.Count();
-    const uint64_t hits = result.Count();
-    if (scope_count > 0) {
-      // Scope-filter selectivity: fraction of the candidate scope the query kept.
-      GM().selectivity_pct.Record(hits * 100 / scope_count);
-    }
-    span.Arg("scope", scope_count);
-    span.Arg("hits", hits);
+  counters_.query_us.Record(TraceRing::NowUs() - t0);
+  const uint64_t scope_count = scope.Count();
+  const uint64_t hits = result.Count();
+  if (scope_count > 0) {
+    // Scope-filter selectivity: fraction of the candidate scope the query kept.
+    counters_.selectivity_pct.Record(hits * 100 / scope_count);
   }
+  span.Arg("scope", scope_count);
+  span.Arg("hits", hits);
   return result;
 }
 
 Result<PostingCursorPtr> InvertedIndex::OpenCursor(const QueryExpr& query,
                                                    const Bitmap& scope,
                                                    const DirResolver* resolve_dir) const {
-  ++queries_evaluated_;
-  GM().queries.Inc();
+  counters_.queries.Inc();
   PostingCursorPtr root;
   if (query.kind == QueryKind::kAll) {
     root = std::make_unique<BitmapCursor>(scope);
@@ -288,7 +277,7 @@ CbaStats InvertedIndex::Stats() const {
   for (const PostingList& p : postings_) {
     s.postings += p.Size();
   }
-  s.queries_evaluated = queries_evaluated_;
+  s.queries_evaluated = counters_.queries.Value();
   return s;
 }
 

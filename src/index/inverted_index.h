@@ -6,7 +6,6 @@
 #ifndef HAC_INDEX_INVERTED_INDEX_H_
 #define HAC_INDEX_INVERTED_INDEX_H_
 
-#include <atomic>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -16,6 +15,7 @@
 #include "src/index/posting_cursor.h"
 #include "src/index/posting_list.h"
 #include "src/index/tokenizer.h"
+#include "src/support/metrics.h"
 
 namespace hac {
 
@@ -74,8 +74,20 @@ class InvertedIndex final : public CbaMechanism {
   std::vector<uint8_t> SaveSnapshot() const;
   Result<void> LoadSnapshot(const std::vector<uint8_t>& image);
 
+  // The index's own metrics registry, a child of MetricsRegistry::Global().
+  const MetricsRegistry& metrics() const { return metrics_; }
+
  private:
   using TermId = uint32_t;
+
+  struct Metrics {
+    explicit Metrics(MetricsRegistry& reg);
+    Counter& queries;  // cursor trees opened: Stats().queries_evaluated
+    Counter& docs_indexed;
+    Counter& docs_removed;
+    Histogram& query_us;
+    Histogram& selectivity_pct;
+  };
 
   TermId InternTerm(const std::string& term);
 
@@ -85,14 +97,14 @@ class InvertedIndex final : public CbaMechanism {
   Result<PostingCursorPtr> BuildCursor(const QueryExpr& node, const Bitmap& scope,
                                        const DirResolver* resolve_dir) const;
 
+  MetricsRegistry metrics_{MetricsRegistry::Global()};
+  Metrics counters_{metrics_};
   Tokenizer tokenizer_;
   std::map<std::string, TermId> dictionary_;     // term -> id (ordered: prefix scans)
   std::vector<PostingList> postings_;            // indexed by TermId
   std::vector<const std::string*> term_names_;   // TermId -> dictionary key
   std::unordered_map<DocId, std::vector<TermId>> doc_terms_;
   ContentFetcher fetch_content_;
-  // Atomic: concurrent service readers evaluate queries under a shared lock.
-  mutable std::atomic<uint64_t> queries_evaluated_ = 0;
 };
 
 }  // namespace hac

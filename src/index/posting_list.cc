@@ -22,10 +22,6 @@ void PostingList::Remove(uint32_t doc) {
   }
 }
 
-bool PostingList::Contains(uint32_t doc) const {
-  return std::binary_search(docs_.begin(), docs_.end(), doc);
-}
-
 void PostingList::UnionInto(Bitmap& out) const {
   for (uint32_t doc : docs_) {
     out.Set(doc);

@@ -15,7 +15,6 @@ class PostingList {
  public:
   void Add(uint32_t doc);
   void Remove(uint32_t doc);
-  bool Contains(uint32_t doc) const;
 
   size_t Size() const { return docs_.size(); }
   bool Empty() const { return docs_.empty(); }

@@ -13,30 +13,10 @@
 
 #include "src/server/hac_service.h"
 #include "src/support/metric_names.h"
-#include "src/support/metrics.h"
 
 namespace hac {
 
 namespace {
-
-struct ReactorMetrics {
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  Counter& bytes_in = reg.GetCounter(metric_names::kServerBytesIn);
-  Counter& bytes_out = reg.GetCounter(metric_names::kServerBytesOut);
-  Counter& connections_closed = reg.GetCounter(metric_names::kServerConnectionsClosed);
-  Counter& wire_errors = reg.GetCounter(metric_names::kServerWireErrors);
-  Counter& epoll_wakeups = reg.GetCounter(metric_names::kServerEpollWakeups);
-  Counter& backpressure_stalls = reg.GetCounter(metric_names::kServerBackpressureStalls);
-  Counter& idle_closes = reg.GetCounter(metric_names::kServerIdleCloses);
-  Gauge& open_connections = reg.GetGauge(metric_names::kServerOpenConnections);
-  Histogram& frames_per_wake = reg.GetHistogram(metric_names::kServerFramesPerWake);
-  Histogram& writev_frames = reg.GetHistogram(metric_names::kServerWritevFrames);
-};
-
-ReactorMetrics& RM() {
-  static ReactorMetrics* m = new ReactorMetrics();
-  return *m;
-}
 
 // One sendmsg covers at most this many response frames; a queue deeper than this
 // simply takes another writable wake.
@@ -50,6 +30,22 @@ void SetNonBlocking(int fd) {
 }
 
 }  // namespace
+
+TransportMetrics::TransportMetrics(MetricsRegistry& reg)
+    : connections_opened(reg.GetCounter(metric_names::kServerConnectionsOpened)),
+      connections_closed(reg.GetCounter(metric_names::kServerConnectionsClosed)),
+      connections_rejected(reg.GetCounter(metric_names::kServerConnectionsRejected)),
+      frames_in(reg.GetCounter(metric_names::kServerFramesIn)),
+      frames_out(reg.GetCounter(metric_names::kServerFramesOut)),
+      wire_errors(reg.GetCounter(metric_names::kServerWireErrors)),
+      bytes_in(reg.GetCounter(metric_names::kServerBytesIn)),
+      bytes_out(reg.GetCounter(metric_names::kServerBytesOut)),
+      idle_closes(reg.GetCounter(metric_names::kServerIdleCloses)),
+      backpressure_stalls(reg.GetCounter(metric_names::kServerBackpressureStalls)),
+      epoll_wakeups(reg.GetCounter(metric_names::kServerEpollWakeups)),
+      open_connections(reg.GetGauge(metric_names::kServerOpenConnections)),
+      frames_per_wake(reg.GetHistogram(metric_names::kServerFramesPerWake)),
+      writev_frames(reg.GetHistogram(metric_names::kServerWritevFrames)) {}
 
 EpollReactor::EpollReactor(ReactorConfig config) : config_(std::move(config)) {}
 
@@ -144,7 +140,7 @@ void EpollReactor::Run() {
       break;  // epoll fd gone: unrecoverable
     }
     if (n > 0) {
-      RM().epoll_wakeups.Inc();
+      config_.metrics->epoll_wakeups.Inc();
     }
     for (int i = 0; i < n; ++i) {
       if (events[i].data.ptr == nullptr) {
@@ -186,10 +182,9 @@ void EpollReactor::Run() {
   std::lock_guard<std::mutex> lk(adopt_mu_);
   for (int fd : adopt_pending_) {
     ::close(fd);
-    config_.counters->connections_closed.fetch_add(1, std::memory_order_relaxed);
-    RM().connections_closed.Inc();
-    RM().open_connections.Add(-1);
-    config_.counters->active_connections.fetch_sub(1, std::memory_order_relaxed);
+    config_.metrics->connections_closed.Inc();
+    config_.metrics->open_connections.Add(-1);
+    config_.active_connections->fetch_sub(1, std::memory_order_relaxed);
   }
   adopt_pending_.clear();
   // epfd_/wake_fd_ stay open: RequestStop() may still be writing the eventfd
@@ -206,10 +201,9 @@ void EpollReactor::AdoptPending() {
   for (int fd : fds) {
     if (stopping_.load(std::memory_order_acquire)) {
       ::close(fd);
-      config_.counters->connections_closed.fetch_add(1, std::memory_order_relaxed);
-      RM().connections_closed.Inc();
-      RM().open_connections.Add(-1);
-      config_.counters->active_connections.fetch_sub(1, std::memory_order_relaxed);
+      config_.metrics->connections_closed.Inc();
+      config_.metrics->open_connections.Add(-1);
+      config_.active_connections->fetch_sub(1, std::memory_order_relaxed);
       continue;
     }
     SetNonBlocking(fd);
@@ -251,9 +245,7 @@ void EpollReactor::HandleReadable(Conn* c) {
   for (;;) {
     ssize_t r = ::recv(c->fd, buf, sizeof(buf), 0);
     if (r > 0) {
-      config_.counters->bytes_in.fetch_add(static_cast<uint64_t>(r),
-                                           std::memory_order_relaxed);
-      RM().bytes_in.Inc(static_cast<uint64_t>(r));
+      config_.metrics->bytes_in.Inc(static_cast<uint64_t>(r));
       c->decoder.Feed(buf, static_cast<size_t>(r));
       continue;  // level-triggered: read until EAGAIN so one wake drains the socket
     }
@@ -285,7 +277,7 @@ void EpollReactor::HandleReadable(Conn* c) {
       break;
     }
     FrameDecoder::Frame frame = std::move(*next.value());
-    config_.counters->frames_in.fetch_add(1, std::memory_order_relaxed);
+    config_.metrics->frames_in.Inc();
     ++frames_this_wake;
     c->last_frame = std::chrono::steady_clock::now();
     if (frame.kind != FrameKind::kRequest) {
@@ -314,7 +306,7 @@ void EpollReactor::HandleReadable(Conn* c) {
         [this, c, seq](ServerResponse resp) { PostCompletion(c, seq, std::move(resp)); });
   }
   if (frames_this_wake > 0) {
-    RM().frames_per_wake.Record(frames_this_wake);
+    config_.metrics->frames_per_wake.Record(frames_this_wake);
   }
   if (eof) {
     c->peer_eof = true;
@@ -324,8 +316,7 @@ void EpollReactor::HandleReadable(Conn* c) {
 }
 
 void EpollReactor::WireError(Conn* c, const Error& err) {
-  config_.counters->wire_errors.fetch_add(1, std::memory_order_relaxed);
-  RM().wire_errors.Inc();
+  config_.metrics->wire_errors.Inc();
   // The error is sequenced like a response so every request decoded before the
   // damage still answers first — then the connection closes (framing cannot
   // resynchronize after header damage).
@@ -438,10 +429,8 @@ void EpollReactor::Flush(Conn* c) {
       PumpResponses(c);  // discard responses the reorder buffer can now release
       return;
     }
-    RM().writev_frames.Record(static_cast<uint64_t>(cnt));
-    config_.counters->bytes_out.fetch_add(static_cast<uint64_t>(n),
-                                          std::memory_order_relaxed);
-    RM().bytes_out.Inc(static_cast<uint64_t>(n));
+    config_.metrics->writev_frames.Record(static_cast<uint64_t>(cnt));
+    config_.metrics->bytes_out.Inc(static_cast<uint64_t>(n));
     size_t left = static_cast<size_t>(n);
     while (left > 0) {
       std::vector<uint8_t>& front = c->outq.front();
@@ -450,7 +439,7 @@ void EpollReactor::Flush(Conn* c) {
         left -= avail;
         c->out_bytes -= avail;
         c->out_head_off = 0;
-        config_.counters->frames_out.fetch_add(1, std::memory_order_relaxed);
+        config_.metrics->frames_out.Inc();
         RecycleBuffer(std::move(front));
         c->outq.pop_front();
       } else {
@@ -480,8 +469,7 @@ void EpollReactor::UpdateInterest(Conn* c) {
 void EpollReactor::PauseReading(Conn* c) {
   c->reading_paused = true;
   UpdateInterest(c);
-  config_.counters->backpressure_stalls.fetch_add(1, std::memory_order_relaxed);
-  RM().backpressure_stalls.Inc();
+  config_.metrics->backpressure_stalls.Inc();
 }
 
 void EpollReactor::ResumeReading(Conn* c) {
@@ -507,7 +495,7 @@ void EpollReactor::SweepIdle() {
     // them: a connection kept warm by other traffic can still strand cursors
     // it stopped fetching from (CursorTable, docs/API.md "Cursor ops").
     if (c->session != nullptr) {
-      HacService::HarvestIdleCursors(c->session, now - limit);
+      config_.service->HarvestIdleCursors(c->session, now - limit);
     }
     if (c->inflight > 0 || c->out_bytes > 0 || !c->reorder.empty()) {
       continue;  // work pending: the connection is not idle
@@ -515,8 +503,7 @@ void EpollReactor::SweepIdle() {
     if (now - c->last_frame < limit) {
       continue;
     }
-    config_.counters->idle_closes.fetch_add(1, std::memory_order_relaxed);
-    RM().idle_closes.Inc();
+    config_.metrics->idle_closes.Inc();
     ::shutdown(c->fd, SHUT_RDWR);
     c->peer_eof = true;
     c->write_dead = true;
@@ -547,10 +534,9 @@ void EpollReactor::CloseConn(Conn* c) {
   // captures nothing but the service.
   config_.service->CloseSessionAsync(c->session);
   c->session = nullptr;
-  config_.counters->connections_closed.fetch_add(1, std::memory_order_relaxed);
-  RM().connections_closed.Inc();
-  RM().open_connections.Add(-1);
-  config_.counters->active_connections.fetch_sub(1, std::memory_order_relaxed);
+  config_.metrics->connections_closed.Inc();
+  config_.metrics->open_connections.Add(-1);
+  config_.active_connections->fetch_sub(1, std::memory_order_relaxed);
 }
 
 void EpollReactor::ReapClosable() {

@@ -40,24 +40,37 @@
 
 #include "src/server/hac_service.h"
 #include "src/server/wire.h"
+#include "src/support/metrics.h"
 #include "src/support/result.h"
 
 namespace hac {
 
-// Transport counters owned by TcpServer and bumped by its acceptor and every
-// reactor, so TcpServer::Stats() is one coherent view across the shards.
-struct TransportCounters {
-  std::atomic<uint64_t> connections_opened = 0, connections_closed = 0,
-                        connections_rejected = 0, frames_in = 0, frames_out = 0,
-                        wire_errors = 0, bytes_in = 0, bytes_out = 0,
-                        idle_closes = 0, backpressure_stalls = 0;
-  // Live connections: the acceptor's connection cap reads this.
-  std::atomic<size_t> active_connections = 0;
+// The transport's metrics, resolved once in TcpServer's registry and recorded by its
+// acceptor and every reactor, so TcpServer::Stats() is one view across the shards.
+struct TransportMetrics {
+  explicit TransportMetrics(MetricsRegistry& reg);
+  Counter& connections_opened;
+  Counter& connections_closed;
+  Counter& connections_rejected;
+  Counter& frames_in;
+  Counter& frames_out;
+  Counter& wire_errors;
+  Counter& bytes_in;
+  Counter& bytes_out;
+  Counter& idle_closes;
+  Counter& backpressure_stalls;
+  Counter& epoll_wakeups;
+  Gauge& open_connections;
+  Histogram& frames_per_wake;
+  Histogram& writev_frames;
 };
 
 struct ReactorConfig {
   HacService* service = nullptr;
-  TransportCounters* counters = nullptr;
+  TransportMetrics* metrics = nullptr;
+  // Live connections, owned by TcpServer: the acceptor's connection cap reads it.
+  // Control state, not a metric, so a metrics reset cannot lift the cap.
+  std::atomic<size_t>* active_connections = nullptr;
   size_t write_high_water = 1 << 20;
   size_t write_low_water = 128 << 10;
   uint32_t idle_timeout_ms = 0;

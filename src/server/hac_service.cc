@@ -6,7 +6,6 @@
 #include "src/core/durability.h"
 #include "src/index/query.h"
 #include "src/support/metric_names.h"
-#include "src/support/metrics.h"
 #include "src/support/trace.h"
 #include "src/vfs/path.h"
 
@@ -20,43 +19,6 @@ ServerResponse ErrorResponse(Error e) {
   return r;
 }
 
-struct ServiceMetrics {
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  Counter& admitted_reads = reg.GetCounter(metric_names::kServiceAdmittedReads);
-  Counter& admitted_writes = reg.GetCounter(metric_names::kServiceAdmittedWrites);
-  Counter& rejected_queue_full = reg.GetCounter(metric_names::kServiceRejectedQueueFull);
-  Counter& shed_deadline = reg.GetCounter(metric_names::kServiceShedDeadline);
-  Counter& executed_reads = reg.GetCounter(metric_names::kServiceExecutedReads);
-  Counter& executed_writes = reg.GetCounter(metric_names::kServiceExecutedWrites);
-  Counter& write_batches = reg.GetCounter(metric_names::kServiceWriteBatches);
-  Counter& introspect_requests = reg.GetCounter(metric_names::kServiceIntrospectRequests);
-  Counter& sessions_opened = reg.GetCounter(metric_names::kServiceSessionsOpened);
-  Counter& sessions_closed = reg.GetCounter(metric_names::kServiceSessionsClosed);
-  Gauge& open_sessions = reg.GetGauge(metric_names::kServiceOpenSessions);
-  Gauge& read_queue_depth = reg.GetGauge(metric_names::kServiceReadQueueDepth);
-  Histogram& queue_wait_read_us = reg.GetHistogram(metric_names::kServiceQueueWaitReadUs);
-  Histogram& queue_wait_write_us =
-      reg.GetHistogram(metric_names::kServiceQueueWaitWriteUs);
-  Histogram& service_time_read_us = reg.GetHistogram(metric_names::kServiceTimeReadUs);
-  Histogram& service_time_write_us = reg.GetHistogram(metric_names::kServiceTimeWriteUs);
-  Histogram& write_batch_size =
-      reg.GetHistogram(metric_names::kServiceWriteBatchSize, "requests");
-  Counter& cursor_opened = reg.GetCounter(metric_names::kServerCursorOpened);
-  Counter& cursor_closed = reg.GetCounter(metric_names::kServerCursorClosed);
-  Counter& cursor_stale = reg.GetCounter(metric_names::kServerCursorStale);
-  Counter& cursor_harvested = reg.GetCounter(metric_names::kServerCursorHarvested);
-  Gauge& cursor_open = reg.GetGauge(metric_names::kServerCursorOpen);
-  Histogram& cursor_page_entries =
-      reg.GetHistogram(metric_names::kServerCursorPageEntries, "entries");
-  Histogram& cursor_page_bytes =
-      reg.GetHistogram(metric_names::kServerCursorPageBytes, "bytes");
-};
-
-ServiceMetrics& GM() {
-  static ServiceMetrics* m = new ServiceMetrics();
-  return *m;
-}
-
 uint64_t WaitedUs(const std::chrono::steady_clock::time_point& enqueued) {
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
                                    std::chrono::steady_clock::now() - enqueued)
@@ -64,6 +26,34 @@ uint64_t WaitedUs(const std::chrono::steady_clock::time_point& enqueued) {
 }
 
 }  // namespace
+
+HacService::Metrics::Metrics(MetricsRegistry& reg)
+    : admitted_reads(reg.GetCounter(metric_names::kServiceAdmittedReads)),
+      admitted_writes(reg.GetCounter(metric_names::kServiceAdmittedWrites)),
+      rejected_queue_full(reg.GetCounter(metric_names::kServiceRejectedQueueFull)),
+      shed_deadline(reg.GetCounter(metric_names::kServiceShedDeadline)),
+      executed_reads(reg.GetCounter(metric_names::kServiceExecutedReads)),
+      executed_writes(reg.GetCounter(metric_names::kServiceExecutedWrites)),
+      write_batches(reg.GetCounter(metric_names::kServiceWriteBatches)),
+      introspect_requests(reg.GetCounter(metric_names::kServiceIntrospectRequests)),
+      sessions_opened(reg.GetCounter(metric_names::kServiceSessionsOpened)),
+      sessions_closed(reg.GetCounter(metric_names::kServiceSessionsClosed)),
+      open_sessions(reg.GetGauge(metric_names::kServiceOpenSessions)),
+      read_queue_depth(reg.GetGauge(metric_names::kServiceReadQueueDepth)),
+      largest_write_batch(reg.GetGauge(metric_names::kServiceLargestWriteBatch)),
+      queue_wait_read_us(reg.GetHistogram(metric_names::kServiceQueueWaitReadUs)),
+      queue_wait_write_us(reg.GetHistogram(metric_names::kServiceQueueWaitWriteUs)),
+      service_time_read_us(reg.GetHistogram(metric_names::kServiceTimeReadUs)),
+      service_time_write_us(reg.GetHistogram(metric_names::kServiceTimeWriteUs)),
+      write_batch_size(reg.GetHistogram(metric_names::kServiceWriteBatchSize, "requests")),
+      cursor_opened(reg.GetCounter(metric_names::kServerCursorOpened)),
+      cursor_closed(reg.GetCounter(metric_names::kServerCursorClosed)),
+      cursor_stale(reg.GetCounter(metric_names::kServerCursorStale)),
+      cursor_harvested(reg.GetCounter(metric_names::kServerCursorHarvested)),
+      cursor_open(reg.GetGauge(metric_names::kServerCursorOpen)),
+      cursor_page_entries(
+          reg.GetHistogram(metric_names::kServerCursorPageEntries, "entries")),
+      cursor_page_bytes(reg.GetHistogram(metric_names::kServerCursorPageBytes, "bytes")) {}
 
 HacService::HacService(HacFileSystem& fs, ServiceOptions options)
     : fs_(fs),
@@ -92,9 +82,8 @@ std::string HacService::Absolutize(const Session& session, const std::string& pa
 Session* HacService::OpenSession() {
   std::lock_guard<std::mutex> lk(sessions_mu_);
   sessions_.emplace_back(std::unique_ptr<Session>(new Session(next_session_id_++)));
-  ++sessions_opened_;
-  GM().sessions_opened.Inc();
-  GM().open_sessions.Add(1);
+  counters_.sessions_opened.Inc();
+  counters_.open_sessions.Add(1);
   return sessions_.back().get();
 }
 
@@ -106,9 +95,8 @@ void HacService::EraseSession(Session* session) {
     return;
   }
   sessions_.erase(it);
-  ++sessions_closed_;
-  GM().sessions_closed.Inc();
-  GM().open_sessions.Add(-1);
+  counters_.sessions_closed.Inc();
+  counters_.open_sessions.Add(-1);
 }
 
 Result<void> HacService::CloseSession(Session* session) {
@@ -133,9 +121,8 @@ Result<void> HacService::CloseSession(Session* session) {
       return Error(ErrorCode::kInvalidArgument, "unknown session");
     }
     sessions_.erase(it);
-    ++sessions_closed_;
-    GM().sessions_closed.Inc();
-    GM().open_sessions.Add(-1);
+    counters_.sessions_closed.Inc();
+    counters_.open_sessions.Add(-1);
   }
   if (!resp.ok()) {
     return resp.error;
@@ -179,7 +166,7 @@ void HacService::Dispatch(std::shared_ptr<Pending> p) {
     // only the process-global metrics registry and trace ring (no fs lock, no
     // worker), so it stays answerable precisely when the service is overloaded
     // and the numbers matter most. Answered even while stopping.
-    GM().introspect_requests.Inc();
+    counters_.introspect_requests.Inc();
     ServerResponse resp;
     resp.text = p->req.aux == "trace" ? TraceRing::Global().ExportChromeJson()
                                       : IntrospectStatsJson();
@@ -196,16 +183,14 @@ void HacService::Dispatch(std::shared_ptr<Pending> p) {
     size_t queued = queued_reads_.load(std::memory_order_relaxed);
     do {
       if (queued >= options_.max_read_queue) {
-        ++rejected_queue_full_;
-        GM().rejected_queue_full.Inc();
+        counters_.rejected_queue_full.Inc();
         p->Fulfil(Overloaded("read queue full"));
         return;
       }
     } while (!queued_reads_.compare_exchange_weak(queued, queued + 1,
                                                   std::memory_order_relaxed));
-    ++admitted_reads_;
-    GM().admitted_reads.Inc();
-    GM().read_queue_depth.Set(static_cast<int64_t>(queued + 1));
+    counters_.admitted_reads.Inc();
+    counters_.read_queue_depth.Set(static_cast<int64_t>(queued + 1));
     if (!readers_.Submit([this, p] { RunRead(p); })) {
       queued_reads_.fetch_sub(1, std::memory_order_relaxed);
       p->Fulfil(Overloaded("reader pool stopped"));
@@ -214,14 +199,12 @@ void HacService::Dispatch(std::shared_ptr<Pending> p) {
   }
 
   if (!write_queue_.TryPush(p)) {
-    ++rejected_queue_full_;
-    GM().rejected_queue_full.Inc();
+    counters_.rejected_queue_full.Inc();
     p->Fulfil(Overloaded(write_queue_.closed() ? "service is stopping"
                                                : "write queue full"));
     return;
   }
-  ++admitted_writes_;
-  GM().admitted_writes.Inc();
+  counters_.admitted_writes.Inc();
 }
 
 std::future<ServerResponse> HacService::Submit(Session* session, ServerRequest req) {
@@ -254,8 +237,7 @@ bool HacService::ShedIfExpired(Pending& p, std::chrono::milliseconds timeout) {
   if (std::chrono::steady_clock::now() - p.enqueued <= timeout) {
     return false;
   }
-  ++shed_deadline_;
-  GM().shed_deadline.Inc();
+  counters_.shed_deadline.Inc();
   p.Fulfil(Overloaded("request exceeded its queue deadline"));
   return true;
 }
@@ -270,27 +252,22 @@ void HacService::ReaderLockShared() {
 
 void HacService::RunRead(std::shared_ptr<Pending> p) {
   const size_t queued = queued_reads_.fetch_sub(1, std::memory_order_relaxed);
-  GM().read_queue_depth.Set(queued > 0 ? static_cast<int64_t>(queued - 1) : 0);
+  counters_.read_queue_depth.Set(queued > 0 ? static_cast<int64_t>(queued - 1) : 0);
   if (ShedIfExpired(*p, options_.read_queue_timeout)) {
     return;
   }
-  if (kMetricsCompiledIn) {
-    GM().queue_wait_read_us.Record(WaitedUs(p->enqueued));
-  }
+  counters_.queue_wait_read_us.Record(WaitedUs(p->enqueued));
   TraceSpan span(metric_names::kSpanServiceRead);
   span.Arg("op", static_cast<uint64_t>(p->req.op));
-  const uint64_t t0 = kMetricsCompiledIn ? TraceRing::NowUs() : 0;
+  const uint64_t t0 = TraceRing::NowUs();
   ReaderLockShared();
   if (options_.read_hook) {
     options_.read_hook();
   }
   ServerResponse resp = ExecuteRead(p->session, p->req);
   fs_lock_.unlock_shared();
-  if (kMetricsCompiledIn) {
-    GM().service_time_read_us.Record(TraceRing::NowUs() - t0);
-  }
-  ++executed_reads_;
-  GM().executed_reads.Inc();
+  counters_.service_time_read_us.Record(TraceRing::NowUs() - t0);
+  counters_.executed_reads.Inc();
   p->Fulfil(std::move(resp));
 }
 
@@ -328,12 +305,10 @@ void HacService::WriterLoop() {
       continue;
     }
 
-    if (kMetricsCompiledIn) {
-      for (const auto& p : live) {
-        GM().queue_wait_write_us.Record(WaitedUs(p->enqueued));
-      }
-      GM().write_batch_size.Record(live.size());
+    for (const auto& p : live) {
+      counters_.queue_wait_write_us.Record(WaitedUs(p->enqueued));
     }
+    counters_.write_batch_size.Record(live.size());
     TraceSpan span(metric_names::kSpanServiceWriteBatch);
     span.Arg("batch_size", live.size());
 
@@ -348,11 +323,9 @@ void HacService::WriterLoop() {
       {
         BatchScope scope(fs_);
         for (size_t i = 0; i < live.size(); ++i) {
-          const uint64_t w0 = kMetricsCompiledIn ? TraceRing::NowUs() : 0;
+          const uint64_t w0 = TraceRing::NowUs();
           responses[i] = ExecuteWrite(live[i]->session, live[i]->req);
-          if (kMetricsCompiledIn) {
-            GM().service_time_write_us.Record(TraceRing::NowUs() - w0);
-          }
+          counters_.service_time_write_us.Record(TraceRing::NowUs() - w0);
         }
         commit = scope.Commit();
       }
@@ -397,18 +370,14 @@ void HacService::WriterLoop() {
     }
     gate_cv_.notify_all();
 
-    ++write_batches_;
-    GM().write_batches.Inc();
-    uint64_t largest = largest_write_batch_.load(std::memory_order_relaxed);
-    while (live.size() > largest &&
-           !largest_write_batch_.compare_exchange_weak(largest, live.size(),
-                                                       std::memory_order_relaxed)) {
+    counters_.write_batches.Inc();
+    if (static_cast<int64_t>(live.size()) > counters_.largest_write_batch.Value()) {
+      counters_.largest_write_batch.Set(static_cast<int64_t>(live.size()));
     }
     // Group commit: futures complete only after the batch flush, so a client's next
     // read observes its own settled write.
     for (size_t i = 0; i < live.size(); ++i) {
-      ++executed_writes_;
-      GM().executed_writes.Inc();
+      counters_.executed_writes.Inc();
       live[i]->Fulfil(std::move(responses[i]));
     }
   }
@@ -513,7 +482,7 @@ ServerResponse HacService::ExecuteRead(Session* session, const ServerRequest& re
     case ServerOp::kIntrospect:
       // Normally intercepted in Submit (it must not be queued or shed); handled
       // here too so direct ExecuteRead callers get the same answer.
-      GM().introspect_requests.Inc();
+      counters_.introspect_requests.Inc();
       resp.text = req.aux == "trace" ? TraceRing::Global().ExportChromeJson()
                                      : IntrospectStatsJson();
       break;
@@ -570,8 +539,8 @@ ServerResponse HacService::ExecuteRead(Session* session, const ServerRequest& re
         }
         resp.fd = session->cursors_.Open(std::move(cur));
       }
-      GM().cursor_opened.Inc();
-      GM().cursor_open.Add(1);
+      counters_.cursor_opened.Inc();
+      counters_.cursor_open.Add(1);
       break;
     }
     case ServerOp::kFetchPage: {
@@ -622,15 +591,15 @@ ServerResponse HacService::ExecuteRead(Session* session, const ServerRequest& re
         // Any fetch failure — stale epoch, deleted directory — auto-closes: the
         // client restarts with a fresh kOpenCursor (docs/API.md).
         if (resp.error.code == ErrorCode::kStaleCursor) {
-          GM().cursor_stale.Inc();
+          counters_.cursor_stale.Inc();
         }
         session->cursors_.Close(req.fd);
-        GM().cursor_closed.Inc();
-        GM().cursor_open.Add(-1);
+        counters_.cursor_closed.Inc();
+        counters_.cursor_open.Add(-1);
         break;
       }
-      GM().cursor_page_entries.Record(delivered);
-      GM().cursor_page_bytes.Record(bytes);
+      counters_.cursor_page_entries.Record(delivered);
+      counters_.cursor_page_bytes.Record(bytes);
       break;
     }
     case ServerOp::kCloseCursor: {
@@ -640,8 +609,8 @@ ServerResponse HacService::ExecuteRead(Session* session, const ServerRequest& re
                            "unknown cursor " + std::to_string(req.fd));
         break;
       }
-      GM().cursor_closed.Inc();
-      GM().cursor_open.Add(-1);
+      counters_.cursor_closed.Inc();
+      counters_.cursor_open.Add(-1);
       break;
     }
     default:
@@ -829,8 +798,8 @@ void HacService::CloseSessionDescriptors(Session* session) {
     cursors = session->cursors().HarvestIdle(std::chrono::steady_clock::time_point::max());
   }
   if (cursors > 0) {
-    GM().cursor_closed.Inc(cursors);
-    GM().cursor_open.Add(-static_cast<int64_t>(cursors));
+    counters_.cursor_closed.Inc(cursors);
+    counters_.cursor_open.Add(-static_cast<int64_t>(cursors));
   }
 }
 
@@ -842,9 +811,9 @@ size_t HacService::HarvestIdleCursors(Session* session,
     n = session->cursors().HarvestIdle(cutoff);
   }
   if (n > 0) {
-    GM().cursor_harvested.Inc(n);
-    GM().cursor_closed.Inc(n);
-    GM().cursor_open.Add(-static_cast<int64_t>(n));
+    counters_.cursor_harvested.Inc(n);
+    counters_.cursor_closed.Inc(n);
+    counters_.cursor_open.Add(-static_cast<int64_t>(n));
   }
   return n;
 }
@@ -867,17 +836,18 @@ void HacService::Stop() {
 }
 
 ServiceStats HacService::Stats() const {
+  const Metrics& c = counters_;
   ServiceStats s;
-  s.admitted_reads = admitted_reads_.load(std::memory_order_relaxed);
-  s.admitted_writes = admitted_writes_.load(std::memory_order_relaxed);
-  s.rejected_queue_full = rejected_queue_full_.load(std::memory_order_relaxed);
-  s.shed_deadline = shed_deadline_.load(std::memory_order_relaxed);
-  s.executed_reads = executed_reads_.load(std::memory_order_relaxed);
-  s.executed_writes = executed_writes_.load(std::memory_order_relaxed);
-  s.write_batches = write_batches_.load(std::memory_order_relaxed);
-  s.largest_write_batch = largest_write_batch_.load(std::memory_order_relaxed);
-  s.sessions_opened = sessions_opened_.load(std::memory_order_relaxed);
-  s.sessions_closed = sessions_closed_.load(std::memory_order_relaxed);
+  s.admitted_reads = c.admitted_reads.Value();
+  s.admitted_writes = c.admitted_writes.Value();
+  s.rejected_queue_full = c.rejected_queue_full.Value();
+  s.shed_deadline = c.shed_deadline.Value();
+  s.executed_reads = c.executed_reads.Value();
+  s.executed_writes = c.executed_writes.Value();
+  s.write_batches = c.write_batches.Value();
+  s.largest_write_batch = static_cast<uint64_t>(c.largest_write_batch.Value());
+  s.sessions_opened = c.sessions_opened.Value();
+  s.sessions_closed = c.sessions_closed.Value();
   return s;
 }
 

@@ -6,7 +6,7 @@
 //   * Every request is classified read or write (src/server/request.h).
 //   * Read-class requests run concurrently on a reader ThreadPool; each execution
 //     holds the shared side of one std::shared_mutex. Read paths through the facade
-//     are mutation-free on shared state (atomic stats counters, locked attribute
+//     are mutation-free on shared state (atomic metric counters, locked attribute
 //     cache), so any number of readers may overlap.
 //   * Write-class requests go through a bounded MPSC queue drained by ONE writer
 //     thread. The writer takes the exclusive side of the lock, wraps each drained
@@ -40,6 +40,7 @@
 #include "src/core/hac_file_system.h"
 #include "src/server/request.h"
 #include "src/server/session.h"
+#include "src/support/metrics.h"
 #include "src/support/thread_pool.h"
 
 namespace hac {
@@ -72,6 +73,8 @@ struct ServiceOptions {
   DurableStore* durable_store = nullptr;
 };
 
+// A value view of the service's counters, filled by HacService::Stats() from its
+// metrics registry.
 struct ServiceStats {
   uint64_t admitted_reads = 0;
   uint64_t admitted_writes = 0;
@@ -130,8 +133,7 @@ class HacService {
   // Drops the session's cursors untouched since `cutoff` and updates the cursor
   // metrics. Called by the reactor's idle sweep — safe concurrently with fetches,
   // which hold the table mutex.
-  static size_t HarvestIdleCursors(Session* session,
-                                   std::chrono::steady_clock::time_point cutoff);
+  size_t HarvestIdleCursors(Session* session, std::chrono::steady_clock::time_point cutoff);
 
   // Stops admission, completes everything already admitted, joins all threads.
   // Idempotent; the destructor calls it.
@@ -139,8 +141,40 @@ class HacService {
 
   ServiceStats Stats() const;
   const ServiceOptions& options() const { return options_; }
+  // The service's own metrics registry, a child of MetricsRegistry::Global(): every
+  // hac.service.* and hac.server.cursor_* metric.
+  const MetricsRegistry& metrics() const { return metrics_; }
 
  private:
+  struct Metrics {
+    explicit Metrics(MetricsRegistry& reg);
+    Counter& admitted_reads;
+    Counter& admitted_writes;
+    Counter& rejected_queue_full;
+    Counter& shed_deadline;
+    Counter& executed_reads;
+    Counter& executed_writes;
+    Counter& write_batches;
+    Counter& introspect_requests;
+    Counter& sessions_opened;
+    Counter& sessions_closed;
+    Gauge& open_sessions;
+    Gauge& read_queue_depth;
+    Gauge& largest_write_batch;  // set only by the writer thread
+    Histogram& queue_wait_read_us;
+    Histogram& queue_wait_write_us;
+    Histogram& service_time_read_us;
+    Histogram& service_time_write_us;
+    Histogram& write_batch_size;
+    Counter& cursor_opened;
+    Counter& cursor_closed;
+    Counter& cursor_stale;
+    Counter& cursor_harvested;
+    Gauge& cursor_open;
+    Histogram& cursor_page_entries;
+    Histogram& cursor_page_bytes;
+  };
+
   struct Pending {
     ServerRequest req;
     Session* session = nullptr;
@@ -177,6 +211,9 @@ class HacService {
 
   HacFileSystem& fs_;
   const ServiceOptions options_;
+  // Declared before the threads so it outlives every recorder.
+  MetricsRegistry metrics_{MetricsRegistry::Global()};
+  Metrics counters_{metrics_};
 
   std::shared_mutex fs_lock_;
   std::mutex gate_mu_;
@@ -193,13 +230,6 @@ class HacService {
   std::mutex sessions_mu_;
   std::vector<std::unique_ptr<Session>> sessions_;
   uint64_t next_session_id_ = 1;
-
-  // ServiceStats counters (atomic mirror; Stats() snapshots them).
-  std::atomic<uint64_t> admitted_reads_ = 0, admitted_writes_ = 0,
-                        rejected_queue_full_ = 0, shed_deadline_ = 0,
-                        executed_reads_ = 0, executed_writes_ = 0, write_batches_ = 0,
-                        largest_write_batch_ = 0, sessions_opened_ = 0,
-                        sessions_closed_ = 0;
 };
 
 }  // namespace hac

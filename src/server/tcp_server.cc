@@ -11,24 +11,10 @@
 #include <utility>
 
 #include "src/server/wire.h"
-#include "src/support/metric_names.h"
-#include "src/support/metrics.h"
 
 namespace hac {
 
 namespace {
-
-struct TransportMetrics {
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  Counter& bytes_out = reg.GetCounter(metric_names::kServerBytesOut);
-  Counter& connections_opened = reg.GetCounter(metric_names::kServerConnectionsOpened);
-  Gauge& open_connections = reg.GetGauge(metric_names::kServerOpenConnections);
-};
-
-TransportMetrics& TM() {
-  static TransportMetrics* m = new TransportMetrics();
-  return *m;
-}
 
 ServerResponse MakeErrorResponse(ErrorCode code, std::string msg) {
   ServerResponse resp;
@@ -87,7 +73,8 @@ Result<void> TcpServer::Start() {
 
   ReactorConfig config;
   config.service = &service_;
-  config.counters = &counters_;
+  config.metrics = &counters_;
+  config.active_connections = &active_connections_;
   config.write_high_water = options_.write_high_water;
   config.write_low_water = options_.write_low_water;
   config.idle_timeout_ms = options_.idle_timeout_ms;
@@ -127,16 +114,15 @@ void TcpServer::AcceptLoop() {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
     if (stopping_.load(std::memory_order_acquire) ||
-        counters_.active_connections.load(std::memory_order_acquire) >=
+        active_connections_.load(std::memory_order_acquire) >=
             options_.max_connections) {
       Reject(fd);
       continue;
     }
 
-    ++counters_.connections_opened;
-    counters_.active_connections.fetch_add(1, std::memory_order_acq_rel);
-    TM().connections_opened.Inc();
-    TM().open_connections.Add(1);
+    counters_.connections_opened.Inc();
+    counters_.open_connections.Add(1);
+    active_connections_.fetch_add(1, std::memory_order_acq_rel);
 
     // Shard round-robin: a connection lives on one reactor for its whole life, so
     // all its state is single-threaded there.
@@ -146,7 +132,7 @@ void TcpServer::AcceptLoop() {
 }
 
 void TcpServer::Reject(int fd) {
-  ++counters_.connections_rejected;
+  counters_.connections_rejected.Inc();
   std::vector<uint8_t> frame = EncodeResponseFrame(
       MakeErrorResponse(ErrorCode::kOverloaded, "connection limit reached"));
   // One best-effort send on a fresh socket whose send buffer is empty: the small
@@ -154,9 +140,8 @@ void TcpServer::Reject(int fd) {
   // peer surfaces as EPIPE here, not SIGPIPE for the whole process.
   if (::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL) ==
       static_cast<ssize_t>(frame.size())) {
-    ++counters_.frames_out;
-    counters_.bytes_out += frame.size();
-    TM().bytes_out.Inc(frame.size());
+    counters_.frames_out.Inc();
+    counters_.bytes_out.Inc(frame.size());
   }
   ::close(fd);
 }
@@ -186,24 +171,22 @@ void TcpServer::Stop() {
 }
 
 size_t TcpServer::ActiveConnections() const {
-  return counters_.active_connections.load(std::memory_order_acquire);
+  return active_connections_.load(std::memory_order_acquire);
 }
 
 TcpServerStats TcpServer::Stats() const {
-  auto get = [](const std::atomic<uint64_t>& c) {
-    return c.load(std::memory_order_relaxed);
-  };
+  const TransportMetrics& c = counters_;
   TcpServerStats s;
-  s.connections_opened = get(counters_.connections_opened);
-  s.connections_closed = get(counters_.connections_closed);
-  s.connections_rejected = get(counters_.connections_rejected);
-  s.frames_in = get(counters_.frames_in);
-  s.frames_out = get(counters_.frames_out);
-  s.wire_errors = get(counters_.wire_errors);
-  s.bytes_in = get(counters_.bytes_in);
-  s.bytes_out = get(counters_.bytes_out);
-  s.idle_closes = get(counters_.idle_closes);
-  s.backpressure_stalls = get(counters_.backpressure_stalls);
+  s.connections_opened = c.connections_opened.Value();
+  s.connections_closed = c.connections_closed.Value();
+  s.connections_rejected = c.connections_rejected.Value();
+  s.frames_in = c.frames_in.Value();
+  s.frames_out = c.frames_out.Value();
+  s.wire_errors = c.wire_errors.Value();
+  s.bytes_in = c.bytes_in.Value();
+  s.bytes_out = c.bytes_out.Value();
+  s.idle_closes = c.idle_closes.Value();
+  s.backpressure_stalls = c.backpressure_stalls.Value();
   return s;
 }
 

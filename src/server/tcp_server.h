@@ -56,6 +56,8 @@ struct TcpServerOptions {
   size_t write_low_water = 128 << 10;   // 128 KiB
 };
 
+// A value view of the transport's counters, filled by TcpServer::Stats() from its
+// metrics registry; each field has a hac.server.* name.
 struct TcpServerStats {
   uint64_t connections_opened = 0;
   uint64_t connections_closed = 0;
@@ -90,6 +92,9 @@ class TcpServer {
   uint16_t port() const { return port_; }
   size_t ActiveConnections() const;
   TcpServerStats Stats() const;
+  // The transport's own metrics registry, a child of MetricsRegistry::Global():
+  // the acceptor's and every reactor's hac.server.* connection and frame metrics.
+  const MetricsRegistry& metrics() const { return metrics_; }
 
  private:
   void AcceptLoop();
@@ -98,6 +103,10 @@ class TcpServer {
 
   HacService& service_;
   const TcpServerOptions options_;
+  MetricsRegistry metrics_{MetricsRegistry::Global()};
+  TransportMetrics counters_{metrics_};
+  // Live connections; the acceptor's cap reads it.
+  std::atomic<size_t> active_connections_ = 0;
 
   int listen_fd_ = -1;
   uint16_t port_ = 0;
@@ -109,10 +118,6 @@ class TcpServer {
   // The reactor shards; connections are adopted round-robin.
   std::vector<std::unique_ptr<EpollReactor>> reactors_;
   size_t next_reactor_ = 0;
-
-  // Written by the acceptor and every reactor; Stats() and the accept-time cap
-  // read it.
-  TransportCounters counters_;
 };
 
 }  // namespace hac

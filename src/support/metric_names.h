@@ -66,6 +66,10 @@ inline constexpr const char* kServerBytesOut = "hac.server.bytes_out";
 inline constexpr const char* kServerConnectionsOpened = "hac.server.connections_opened";
 inline constexpr const char* kServerConnectionsClosed = "hac.server.connections_closed";
 inline constexpr const char* kServerWireErrors = "hac.server.wire_errors";
+inline constexpr const char* kServerConnectionsRejected =
+    "hac.server.connections_rejected";
+inline constexpr const char* kServerFramesIn = "hac.server.frames_in";
+inline constexpr const char* kServerFramesOut = "hac.server.frames_out";
 // Reactor internals of the TCP transport (src/server/epoll_reactor.cc).
 inline constexpr const char* kServerEpollWakeups = "hac.server.epoll_wakeups";
 inline constexpr const char* kServerBackpressureStalls =
@@ -104,6 +108,8 @@ inline constexpr const char* kTraceDropped = "hac.trace.dropped";
 // --- gauges ---
 inline constexpr const char* kServiceOpenSessions = "hac.service.open_sessions";
 inline constexpr const char* kServiceReadQueueDepth = "hac.service.read_queue_depth";
+inline constexpr const char* kServiceLargestWriteBatch =
+    "hac.service.largest_write_batch";
 inline constexpr const char* kServerOpenConnections = "hac.server.open_connections";
 inline constexpr const char* kServerCursorOpen = "hac.server.cursor_open";
 
@@ -154,6 +160,7 @@ inline constexpr const char* kAllCounters[] = {
     kServiceExecutedWrites, kServiceWriteBatches, kServiceIntrospectRequests,
     kServiceSessionsOpened, kServiceSessionsClosed, kServerBytesIn, kServerBytesOut,
     kServerConnectionsOpened, kServerConnectionsClosed, kServerWireErrors,
+    kServerConnectionsRejected, kServerFramesIn, kServerFramesOut,
     kServerEpollWakeups, kServerBackpressureStalls, kServerIdleCloses,
     kServerBufferPoolHits, kServerBufferPoolMisses,
     kServerCursorOpened, kServerCursorClosed, kServerCursorStale,
@@ -165,6 +172,7 @@ inline constexpr const char* kAllCounters[] = {
 inline constexpr const char* kAllGauges[] = {
     kServiceOpenSessions,
     kServiceReadQueueDepth,
+    kServiceLargestWriteBatch,
     kServerOpenConnections,
     kServerCursorOpen,
 };

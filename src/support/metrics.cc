@@ -39,8 +39,41 @@ MetricsRegistry& MetricsRegistry::Global() {
   return *registry;
 }
 
+MetricsRegistry::MetricsRegistry(MetricsRegistry& parent) : parent_(&parent) {
+  std::lock_guard<std::mutex> lock(parent.mu_);
+  parent.children_.push_back(this);
+}
+
+MetricsRegistry::~MetricsRegistry() {
+  if (parent_ == nullptr) {
+    return;
+  }
+  // Both locks, parent first (the order Snapshot takes them): a concurrent parent
+  // snapshot sees this child's counts either here or folded, never twice.
+  std::lock_guard<std::mutex> parent_lock(parent_->mu_);
+  std::lock_guard<std::mutex> lock(mu_);
+  AddOwnLocked(*parent_, /*gauges=*/false);
+  auto& siblings = parent_->children_;
+  siblings.erase(std::find(siblings.begin(), siblings.end(), this));
+}
+
 Counter& MetricsRegistry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
+  return CounterLocked(name);
+}
+
+Gauge& MetricsRegistry::GetGauge(const std::string& name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return GaugeLocked(name);
+}
+
+Histogram& MetricsRegistry::GetHistogram(const std::string& name,
+                                         const std::string& unit) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return HistogramLocked(name, unit);
+}
+
+Counter& MetricsRegistry::CounterLocked(const std::string& name) {
   auto& slot = counters_[name];
   if (slot == nullptr) {
     slot = std::make_unique<Counter>();
@@ -48,8 +81,7 @@ Counter& MetricsRegistry::GetCounter(const std::string& name) {
   return *slot;
 }
 
-Gauge& MetricsRegistry::GetGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
+Gauge& MetricsRegistry::GaugeLocked(const std::string& name) {
   auto& slot = gauges_[name];
   if (slot == nullptr) {
     slot = std::make_unique<Gauge>();
@@ -57,15 +89,36 @@ Gauge& MetricsRegistry::GetGauge(const std::string& name) {
   return *slot;
 }
 
-Histogram& MetricsRegistry::GetHistogram(const std::string& name,
-                                         const std::string& unit) {
-  std::lock_guard<std::mutex> lock(mu_);
+Histogram& MetricsRegistry::HistogramLocked(const std::string& name,
+                                            const std::string& unit) {
   auto& slot = histograms_[name];
   if (slot.second == nullptr) {
     slot.first = unit;
     slot.second = std::make_unique<Histogram>();
   }
   return *slot.second;
+}
+
+void MetricsRegistry::AddOwnLocked(MetricsRegistry& into, bool gauges) const {
+  for (const auto& [name, counter] : counters_) {
+    into.CounterLocked(name).Inc(counter->Value());
+  }
+  if (gauges) {
+    for (const auto& [name, gauge] : gauges_) {
+      into.GaugeLocked(name).Add(gauge->Value());
+    }
+  }
+  for (const auto& [name, entry] : histograms_) {
+    into.HistogramLocked(name, entry.first).AddFrom(*entry.second);
+  }
+}
+
+void MetricsRegistry::CollectLocked(MetricsRegistry& into) const {
+  AddOwnLocked(into, /*gauges=*/true);
+  for (const MetricsRegistry* child : children_) {
+    std::lock_guard<std::mutex> lock(child->mu_);
+    child->CollectLocked(into);
+  }
 }
 
 double Histogram::Quantile(double q) const {
@@ -111,6 +164,15 @@ uint64_t Histogram::MaxBound() const {
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
+  MetricsRegistry merged;  // private: its lock is never contended
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    CollectLocked(merged);
+  }
+  return merged.OwnSnapshot();
+}
+
+MetricsSnapshot MetricsRegistry::OwnSnapshot() const {
   MetricsSnapshot snap;
   std::lock_guard<std::mutex> lock(mu_);
   snap.counters.reserve(counters_.size());
@@ -166,6 +228,9 @@ void MetricsRegistry::ResetForTest() {
   for (auto& [name, entry] : histograms_) {
     entry.second->ResetForTest();
   }
+  for (MetricsRegistry* child : children_) {
+    child->ResetForTest();
+  }
 }
 
 std::string IntrospectStatsJson() {
@@ -206,7 +271,7 @@ std::string IntrospectStatsJson() {
 
   JsonObject out;
   out.Add("schema", "hac.introspect.v1")
-      .AddBool("metrics_enabled", kMetricsCompiledIn)
+      .AddBool("metrics_enabled", true)
       .Add("counters", counters)
       .Add("gauges", gauges)
       .Add("histograms", histograms)

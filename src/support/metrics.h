@@ -1,16 +1,19 @@
-// Process-global metrics registry: named atomic counters and gauges plus
-// fixed-bucket log-scale latency histograms with quantile extraction.
+// Metrics registries: named atomic counters and gauges plus fixed-bucket log-scale
+// latency histograms with quantile extraction.
+//
+// Scoping: every event is counted once, in the registry of the instance that owns it.
+// A facade, index, service or transport owns a child registry of Global(); process-level
+// layers (wire codec, buffer pool, tracer, durability) record into Global() itself.
+// Global().Snapshot() merges its own metrics with every live child's by name, and a
+// child's destructor folds its counters and histograms into the parent, so the global
+// view keeps counting across instance lifetimes. Gauges are live state and die with
+// their child.
 //
 // Hot-path contract: recording (Counter::Inc, Gauge::Add, Histogram::Record) is one
-// relaxed atomic RMW — no locks, no allocation. The registry mutex is taken only at
-// registration (first lookup of a name; instrumentation sites cache the returned
-// reference in a function-local static) and at Snapshot() time. Registered objects
-// are never deallocated, so cached references stay valid for the process lifetime.
-//
-// Compile-out: configuring with -DHAC_METRICS=OFF defines HAC_METRICS_DISABLED and
-// turns every recording call into an empty inline function (the registry still
-// registers names, so the introspection surface keeps its shape and docs_check keeps
-// passing; all values read zero). EXPERIMENTS.md documents the measured delta.
+// relaxed atomic RMW — no locks, no allocation. A registry's mutex is taken only at
+// registration (owners resolve their references once, at construction), at Snapshot()
+// time and when a child links or unlinks. Registered objects live as long as their
+// registry; Global() is never destroyed.
 //
 // Naming convention and the full exported table live in docs/OBSERVABILITY.md; the
 // names themselves are constants in support/metric_names.h.
@@ -28,25 +31,14 @@
 #include <string>
 #include <vector>
 
-#if defined(HAC_METRICS_DISABLED)
-#define HAC_METRICS_ENABLED 0
-#else
-#define HAC_METRICS_ENABLED 1
-#endif
-
 namespace hac {
 
-inline constexpr bool kMetricsCompiledIn = HAC_METRICS_ENABLED != 0;
+// Metrics are always compiled in; build stamps still report the constant.
+inline constexpr bool kMetricsCompiledIn = true;
 
 class Counter {
  public:
-  void Inc(uint64_t n = 1) {
-#if HAC_METRICS_ENABLED
-    value_.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
-  }
+  void Inc(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
   uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -57,20 +49,8 @@ class Counter {
 
 class Gauge {
  public:
-  void Set(int64_t v) {
-#if HAC_METRICS_ENABLED
-    value_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
-  }
-  void Add(int64_t n) {
-#if HAC_METRICS_ENABLED
-    value_.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
-  }
+  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
+  void Add(int64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -90,12 +70,8 @@ class Histogram {
   static constexpr size_t kBuckets = 64;
 
   void Record(uint64_t v) {
-#if HAC_METRICS_ENABLED
     buckets_[BucketOf(v)].fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
 
   // Bucket index for a value; exposed for the boundary unit tests. bit_width is 64
@@ -141,6 +117,14 @@ class Histogram {
     }
     sum_.store(0, std::memory_order_relaxed);
   }
+  // Adds `other`'s samples to this histogram (merging registries).
+  void AddFrom(const Histogram& other) {
+    for (size_t b = 0; b < kBuckets; ++b) {
+      buckets_[b].fetch_add(other.buckets_[b].load(std::memory_order_relaxed),
+                            std::memory_order_relaxed);
+    }
+    sum_.fetch_add(other.Sum(), std::memory_order_relaxed);
+  }
   std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
   std::atomic<uint64_t> sum_{0};
 };
@@ -165,29 +149,56 @@ struct MetricsSnapshot {
 
 class MetricsRegistry {
  public:
+  // A registry with no parent (Global(), or a private scratch registry).
+  MetricsRegistry() = default;
+  // A child of `parent`: links itself under the parent's mutex, so the parent's
+  // Snapshot() includes it from now on. The parent must outlive the child.
+  explicit MetricsRegistry(MetricsRegistry& parent);
+  // A child folds its counters and histograms into the parent's metrics of the same
+  // name, then unlinks.
+  ~MetricsRegistry();
+
+  MetricsRegistry(const MetricsRegistry&) = delete;
+  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
+
   // The process-global registry. Construction pre-registers every name in
   // support/metric_names.h so snapshots are complete from the first call.
   static MetricsRegistry& Global();
 
   // Lookup-or-create. The returned reference is valid for the registry's lifetime;
-  // cache it (function-local static) on hot paths. `unit` applies to histograms and
-  // is recorded once at first registration.
+  // resolve it once and keep it on hot paths. `unit` applies to histograms and is
+  // recorded once at first registration.
   Counter& GetCounter(const std::string& name);
   Gauge& GetGauge(const std::string& name);
   Histogram& GetHistogram(const std::string& name, const std::string& unit = "us");
 
+  // This registry's metrics merged with its children's by name: counters and gauges
+  // sum, histograms sum bucket by bucket.
   MetricsSnapshot Snapshot() const;
-  std::vector<std::string> Names() const;  // every registered metric, sorted
+  std::vector<std::string> Names() const;  // every metric registered here, sorted
 
-  // Zeroes every registered metric (objects stay registered). Tests and benches
-  // only — live readers of the same process see the reset.
+  // Zeroes every registered metric here and in every child (objects stay
+  // registered). Tests and benches only — live readers of the same registry see the
+  // reset, so nothing that steers the program may read a metric.
   void ResetForTest();
 
  private:
+  // The *Locked members expect the caller to hold mu_.
+  Counter& CounterLocked(const std::string& name);
+  Gauge& GaugeLocked(const std::string& name);
+  Histogram& HistogramLocked(const std::string& name, const std::string& unit);
+  // Adds this registry's own metrics into `into` (gauges only when asked).
+  void AddOwnLocked(MetricsRegistry& into, bool gauges) const;
+  // Adds this registry's metrics and, recursively, its children's into `into`.
+  void CollectLocked(MetricsRegistry& into) const;
+  MetricsSnapshot OwnSnapshot() const;
+
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::pair<std::string, std::unique_ptr<Histogram>>> histograms_;
+  MetricsRegistry* parent_ = nullptr;
+  std::vector<MetricsRegistry*> children_;  // guarded by mu_
 };
 
 // The kIntrospect payload: the full registry snapshot plus tracer state, rendered

@@ -262,9 +262,10 @@ TEST_P(ConsistencyEngineTest, ProhibitUnlinkedFileIsPreemptive) {
 INSTANTIATE_TEST_SUITE_P(BothEngines, ConsistencyEngineTest,
                          ::testing::Values(ConsistencyMode::kEager,
                                            ConsistencyMode::kIncremental),
-                         [](const auto& info) {
-                           return info.param == ConsistencyMode::kEager ? "Eager"
-                                                                        : "Incremental";
+                         [](const auto& param_info) {
+                           return param_info.param == ConsistencyMode::kEager
+                                      ? "Eager"
+                                      : "Incremental";
                          });
 
 // --- batch-vs-eager equivalence property ---

@@ -348,8 +348,8 @@ INSTANTIATE_TEST_SUITE_P(DurabilityMatrix, CrashMatrixTest,
                                            Row::kTruncatedCheckpoint,
                                            Row::kStaleCheckpointLongTail,
                                            Row::kCorruptCrcMidLog),
-                         [](const ::testing::TestParamInfo<Row>& info) {
-                           return RowName(info.param);
+                         [](const ::testing::TestParamInfo<Row>& param_info) {
+                           return RowName(param_info.param);
                          });
 
 // --- unit coverage around the matrix ---

@@ -47,13 +47,6 @@ TEST(PostingListTest, RemoveExistingAndMissing) {
   EXPECT_EQ(p.Size(), 1u);
 }
 
-TEST(PostingListTest, Contains) {
-  PostingList p;
-  p.Add(7);
-  EXPECT_TRUE(p.Contains(7));
-  EXPECT_FALSE(p.Contains(8));
-}
-
 TEST(PostingListTest, UnionIntoAccumulates) {
   PostingList a;
   a.Add(1);

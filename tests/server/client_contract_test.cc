@@ -255,10 +255,10 @@ TEST_P(ClientContractTest, StatsAndIntrospectionTravel) {
   ASSERT_TRUE(client->SMkdir("/q", "alpha").ok());
 
   StatsSnapshot stats = client->Stats();
-  EXPECT_GE(stats.docs_indexed.load(), 1u);
+  EXPECT_GE(stats.docs_indexed, 1u);
   EXPECT_GE(stats.index.documents, 1u);
   EXPECT_GE(stats.vfs.mkdirs, 1u);
-  EXPECT_EQ(stats.docs_indexed.load(), fs_.Stats().docs_indexed.load());
+  EXPECT_EQ(stats.docs_indexed, fs_.Stats().docs_indexed);
 
   auto intro = client->Introspect("stats");
   ASSERT_TRUE(intro.ok());
