@@ -13,14 +13,14 @@ DocId FileRegistry::NewRecord(InodeId inode, const std::string& path) {
   rec.alive = true;
   rec.dirty = true;
   records_.push_back(std::move(rec));
-  by_path_.emplace(path, id);
   by_inode_.emplace(inode, id);
   universe_.Set(id);
   return id;
 }
 
 Result<DocId> FileRegistry::Add(InodeId inode, const std::string& path) {
-  if (by_path_.count(path) != 0) {
+  // One traversal: the path claims the next id, or nothing is inserted.
+  if (!by_path_.try_emplace(path, static_cast<DocId>(records_.size())).second) {
     return Error(ErrorCode::kAlreadyExists, path);
   }
   return NewRecord(inode, path);
@@ -32,7 +32,7 @@ Result<DocId> FileRegistry::AddRemote(InodeId inode, const std::string& path,
   if (it != by_remote_key_.end()) {
     return it->second;
   }
-  if (by_path_.count(path) != 0) {
+  if (!by_path_.try_emplace(path, static_cast<DocId>(records_.size())).second) {
     return Error(ErrorCode::kAlreadyExists, path);
   }
   DocId id = NewRecord(inode, path);
@@ -105,37 +105,46 @@ Result<void> FileRegistry::SetPath(DocId id, const std::string& path) {
   return OkResult();
 }
 
+std::string FileRegistry::SubtreePrefix(const std::string& dir) {
+  return dir == "/" ? dir : dir + "/";
+}
+
 void FileRegistry::RenameSubtree(const std::string& from, const std::string& to) {
-  std::vector<DocId> moved;
-  for (const auto& [path, id] : by_path_) {
-    if (PathIsWithin(path, from)) {
-      moved.push_back(id);
-    }
+  // Re-key the moved nodes without reallocating them: extract, rewrite, reinsert.
+  const std::string prefix = SubtreePrefix(from);
+  std::vector<PathIndex::node_type> moved;
+  for (auto it = by_path_.lower_bound(prefix);
+       it != by_path_.end() && it->first.starts_with(prefix);) {
+    moved.push_back(by_path_.extract(it++));
   }
-  for (DocId id : moved) {
-    FileRecord& rec = records_[id];
-    std::string new_path = RebasePath(rec.path, from, to);
-    by_path_.erase(rec.path);
-    rec.path = std::move(new_path);
-    by_path_.emplace(rec.path, id);
+  for (PathIndex::node_type& node : moved) {
+    FileRecord& rec = records_[node.mapped()];
+    rec.path = RebasePath(rec.path, from, to);
+    node.key() = rec.path;
+    by_path_.insert(std::move(node));
   }
 }
 
 Bitmap FileRegistry::FilesWithin(const std::string& dir) const {
+  if (dir == "/") {
+    return universe_;
+  }
+  const std::string prefix = SubtreePrefix(dir);
   Bitmap out;
-  for (const auto& [path, id] : by_path_) {
-    if (PathIsWithin(path, dir) && path != dir) {
-      out.Set(id);
-    }
+  for (auto it = by_path_.lower_bound(prefix);
+       it != by_path_.end() && it->first.starts_with(prefix); ++it) {
+    out.Set(it->second);
   }
   return out;
 }
 
 Bitmap FileRegistry::DirectChildrenOf(const std::string& dir) const {
+  const std::string prefix = SubtreePrefix(dir);
   Bitmap out;
-  for (const auto& [path, id] : by_path_) {
-    if (DirName(path) == dir) {
-      out.Set(id);
+  for (auto it = by_path_.lower_bound(prefix);
+       it != by_path_.end() && it->first.starts_with(prefix); ++it) {
+    if (it->first.find('/', prefix.size()) == std::string::npos) {
+      out.Set(it->second);
     }
   }
   return out;
@@ -164,10 +173,10 @@ Result<void> FileRegistry::RestoreRecord(const FileRecord& rec) {
   }
   records_.push_back(rec);
   if (rec.alive) {
-    if (by_path_.count(rec.path) != 0 || by_inode_.count(rec.inode) != 0) {
+    if (by_inode_.count(rec.inode) != 0 ||
+        !by_path_.try_emplace(rec.path, rec.id).second) {
       return Error(ErrorCode::kCorrupt, "duplicate live record: " + rec.path);
     }
-    by_path_.emplace(rec.path, rec.id);
     by_inode_.emplace(rec.inode, rec.id);
     universe_.Set(rec.id);
   }
@@ -182,7 +191,9 @@ size_t FileRegistry::SizeBytes() const {
   for (const FileRecord& rec : records_) {
     total += rec.path.size() + rec.remote_key.size();
   }
-  total += by_path_.size() * 64 + by_inode_.size() * 48 + by_remote_key_.size() * 64;
+  // An ordered-map node holds its key/value pair plus three links and a color word.
+  total += by_path_.size() * (sizeof(PathIndex::value_type) + 4 * sizeof(void*));
+  total += by_inode_.size() * 48 + by_remote_key_.size() * 64;
   return total;
 }
 

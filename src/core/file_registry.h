@@ -8,6 +8,7 @@
 #ifndef HAC_CORE_FILE_REGISTRY_H_
 #define HAC_CORE_FILE_REGISTRY_H_
 
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -56,16 +57,19 @@ class FileRegistry {
   // Updates the path of one file.
   Result<void> SetPath(DocId id, const std::string& path);
 
-  // Rewrites all live paths inside `from` to live under `to` (directory rename).
+  // Rewrites all live paths strictly inside `from` to live under `to` (directory
+  // rename).
   void RenameSubtree(const std::string& from, const std::string& to);
 
   // All live files.
   const Bitmap& Universe() const { return universe_; }
 
-  // Live files whose path lies strictly within `dir` (any depth).
+  // Live files whose path lies strictly within `dir` (any depth). Costs
+  // O(log N + subtree size): the subtree is one contiguous run of the path index.
   Bitmap FilesWithin(const std::string& dir) const;
 
-  // Live files that are *direct* children of `dir`.
+  // Live files that are *direct* children of `dir`: the FilesWithin run, keeping the
+  // paths with no further '/'.
   Bitmap DirectChildrenOf(const std::string& dir) const;
 
   // Ids of dirty records (live => reindex, dead => purge from the index).
@@ -81,10 +85,17 @@ class FileRegistry {
   Result<void> RestoreRecord(const FileRecord& rec);
 
  private:
+  // Live paths in byte order, so every directory's subtree is one key range.
+  using PathIndex = std::map<std::string, DocId, std::less<>>;
+
+  // The key prefix shared by every path strictly below `dir`.
+  static std::string SubtreePrefix(const std::string& dir);
+
+  // Appends the record for an id whose path slot the caller already claimed.
   DocId NewRecord(InodeId inode, const std::string& path);
 
   std::vector<FileRecord> records_;  // indexed by DocId
-  std::unordered_map<std::string, DocId> by_path_;
+  PathIndex by_path_;
   std::unordered_map<InodeId, DocId> by_inode_;
   std::unordered_map<std::string, DocId> by_remote_key_;
   Bitmap universe_;

@@ -189,16 +189,14 @@ uint64_t HacFileSystem::MutationEpoch() const {
   return journal_.RecordCount() + index_changes_.load(std::memory_order_relaxed);
 }
 
-namespace {
-
-Error StaleCursorError(uint64_t token_epoch, uint64_t epoch) {
+Error HacFileSystem::StaleCursorError(uint64_t token_epoch, uint64_t epoch) {
   return Error(ErrorCode::kStaleCursor,
                "page token epoch " + std::to_string(token_epoch) +
                    " superseded by " + std::to_string(epoch) +
                    "; restart from the first page");
 }
 
-void ClampPage(size_t* max_entries, size_t* max_bytes) {
+void HacFileSystem::ClampPage(size_t* max_entries, size_t* max_bytes) {
   if (*max_entries == 0) {
     *max_entries = kDefaultPageEntries;
   }
@@ -207,8 +205,6 @@ void ClampPage(size_t* max_entries, size_t* max_bytes) {
     *max_bytes = kDefaultPageBytes;
   }
 }
-
-}  // namespace
 
 Result<DirPageResult> HacFileSystem::ReadDirPage(const std::string& path,
                                                  const PageToken* token,
@@ -581,12 +577,22 @@ Result<Stat> HacFileSystem::StatPath(const std::string& path) {
   }
   // Phase-3 path: resolve, then consult the shared attribute cache.
   HAC_ASSIGN_OR_RETURN(InodeId inode, vfs_.Lookup(r.path, /*follow_final=*/true));
+  const Inode* node = vfs_.FindInode(inode);
+  if (node == nullptr) {
+    return Error(ErrorCode::kNotFound, path);
+  }
+  // A directory's size, mtime and nlink move with every entry created, renamed or
+  // removed under it, by users and by the consistency engine alike, so directories
+  // are answered from the inode and never cached.
+  if (node->type == NodeType::kDirectory) {
+    return vfs_.StatOf(*node);
+  }
   if (auto cached = attr_cache_.Get(inode); cached.has_value()) {
     counters_.attr_cache_hits.Inc();
     return *cached;
   }
   counters_.attr_cache_misses.Inc();
-  HAC_ASSIGN_OR_RETURN(Stat st, vfs_.StatPath(r.path));
+  const Stat st = vfs_.StatOf(*node);
   attr_cache_.Put(inode, st);
   return st;
 }

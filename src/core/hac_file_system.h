@@ -187,6 +187,7 @@ class HacFileSystem final : public FsInterface {
   const FileRegistry& registry() const { return registry_; }
   const UidMap& uid_map() const { return uid_map_; }
   const DependencyGraph& dependency_graph() const { return graph_; }
+  const MountTable& mounts() const { return mounts_; }
   const MetadataJournal& journal() const { return journal_; }
   // Drains up to `max_records` buffered journal records (0 = all): the durability
   // layer moves them into the on-disk WAL at each group commit, bounding the
@@ -255,6 +256,12 @@ class HacFileSystem final : public FsInterface {
   // FetchPage — asks for identical bitmaps at a quiesced epoch. Mutex-guarded
   // because readers run concurrently under the service's shared lock.
   Result<Bitmap> CachedDirContents(DirUid uid) const;
+
+  // The one pagination rule of ReadDirPage and SearchPage: 0 asks for the default
+  // page size, and entries are capped at kMaxPageEntries.
+  static void ClampPage(size_t* max_entries, size_t* max_bytes);
+  // The kStaleCursor error for a resumed token cut at an earlier epoch.
+  static Error StaleCursorError(uint64_t token_epoch, uint64_t epoch);
 
   // Parses `query` and binds its dir() references to directory UIDs (SetQuery,
   // Search and SearchPage share it).

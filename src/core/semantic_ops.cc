@@ -203,21 +203,12 @@ Result<SearchPageResult> HacFileSystem::SearchPage(const std::string& query,
     return Error(ErrorCode::kUnsupported, "search applies to the local name space");
   }
   HAC_RETURN_IF_ERROR(engine_->Flush());
-  if (max_results == 0) {
-    max_results = kDefaultPageEntries;
-  }
-  max_results = std::min(max_results, kMaxPageEntries);
-  if (max_bytes == 0) {
-    max_bytes = kDefaultPageBytes;
-  }
+  ClampPage(&max_results, &max_bytes);
   const uint64_t epoch = MutationEpoch();
   const bool resuming = token != nullptr && !token->at_start;
   // As in ReadDirPage: an at_start token rebases onto the current epoch.
   if (resuming && token->epoch != epoch) {
-    return Error(ErrorCode::kStaleCursor,
-                 "page token epoch " + std::to_string(token->epoch) +
-                     " superseded by " + std::to_string(epoch) +
-                     "; restart from the first page");
+    return StaleCursorError(token->epoch, epoch);
   }
   // Prepared exactly as Search() is; the difference is downstream — a lazy
   // cursor pull instead of a materialized result bitmap.

@@ -21,6 +21,7 @@ class Fsck {
       CheckScopeInvariants();  // C4, C5
     }
     CheckRegistry();       // C6
+    CheckDirectoryStats(); // C8
     return std::move(report_);
   }
 
@@ -98,8 +99,17 @@ class Fsck {
     }
   }
 
+  // The facade answers for a syntactically mounted name space at and below its
+  // mount point, so facade-side checks (C3, C8) skip those directories.
+  bool Mounted(const std::string& dir) const {
+    return fs_.mounts().FindSyntacticCovering(dir) != nullptr;
+  }
+
   void CheckLinkTables() {
     for (const std::string& dir : dirs_) {
+      if (Mounted(dir)) {
+        continue;
+      }
       auto classes = fs_.GetLinkClasses(dir);
       if (!classes.ok()) {
         Finding("C3: no link metadata for " + dir);
@@ -232,6 +242,19 @@ class Fsck {
         Finding("C6: inode mismatch for " + rec->path);
       }
     });
+  }
+
+  void CheckDirectoryStats() {
+    for (const std::string& dir : dirs_) {
+      if (Mounted(dir)) {
+        continue;
+      }
+      auto facade = fs_.StatPath(dir);
+      auto local = fs_.vfs().StatPath(dir);
+      if (!facade.ok() || !local.ok() || facade.value() != local.value()) {
+        Finding("C8: stale directory attributes for " + dir);
+      }
+    }
   }
 
   HacFileSystem& fs_;

@@ -13,7 +13,9 @@
 //       − direct-children − permanent − prohibited;
 //   C5  transient ⊆ scope(parent); prohibited ∩ (transient ∪ permanent) = ∅;
 //   C6  every live registry record's path resolves to a file with the recorded inode;
-//   C7  the dependency graph is acyclic (a full topological order covers every node).
+//   C7  the dependency graph is acyclic (a full topological order covers every node);
+//   C8  for every local directory, the facade's StatPath equals the VFS's (no stale
+//       directory attributes).
 //
 // FsckReport lists human-readable findings; Clean() means a fully consistent system.
 // C4/C5 are *scope* invariants: they are expected to hold only when the system is

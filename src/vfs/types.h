@@ -35,6 +35,8 @@ struct Stat {
   uint64_t size = 0;   // bytes (file content / symlink target length / entry count for dirs)
   uint64_t mtime = 0;  // virtual-clock tick of last modification
   uint32_t nlink = 1;
+
+  friend bool operator==(const Stat&, const Stat&) = default;
 };
 
 struct DirEntry {

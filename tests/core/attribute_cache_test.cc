@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "src/core/hac_file_system.h"
 
 namespace hac {
@@ -84,6 +88,57 @@ TEST_F(HacAttrCacheTest, StatOfSymlinkTargetSharesCacheEntry) {
   uint64_t h = Hits();
   ASSERT_TRUE(fs_.StatPath("/l").ok());  // resolves to /f's inode -> hit
   EXPECT_EQ(Hits(), h + 1);
+}
+
+// Directories are answered from the VFS inode, never the cache: every kind of
+// mutation under a directory the facade already statted must show in its next Stat.
+::testing::AssertionResult StatsAgree(HacFileSystem& fs, const std::string& dir) {
+  auto facade = fs.StatPath(dir);
+  auto vfs = fs.vfs().StatPath(dir);
+  if (!facade.ok() || !vfs.ok()) {
+    return ::testing::AssertionFailure() << "stat failed for " << dir;
+  }
+  const Stat& a = facade.value();
+  const Stat& b = vfs.value();
+  if (a != b) {
+    return ::testing::AssertionFailure()
+           << dir << ": facade size/mtime/nlink " << a.size << "/" << a.mtime << "/"
+           << a.nlink << " vs vfs " << b.size << "/" << b.mtime << "/" << b.nlink;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(HacDirStatTest, ParentStatTracksEveryMutation) {
+  HacFileSystem fs;
+  ASSERT_TRUE(fs.Mkdir("/d").ok());
+  ASSERT_TRUE(fs.WriteFile("/docs.txt", "alpha").ok());
+  ASSERT_TRUE(fs.Reindex().ok());
+  ASSERT_TRUE(fs.SMkdir("/s", "alpha").ok());
+  struct Step {
+    const char* name;
+    std::string dir;  // the directory whose attributes the step changes
+    std::function<Result<void>()> op;
+  };
+  const std::vector<Step> steps = {
+      {"mkdir", "/d", [&] { return fs.Mkdir("/d/sub"); }},
+      {"create", "/d", [&] { return fs.WriteFile("/d/f", "beta"); }},
+      {"rename", "/d", [&] { return fs.Rename("/d/f", "/d/g"); }},
+      {"unlink", "/d", [&] { return fs.Unlink("/d/g"); }},
+      {"symlink", "/d", [&] { return fs.Symlink("/d/sub", "/d/ln"); }},
+      {"setquery", "/s", [&] { return fs.SetQuery("/s", "gamma"); }},
+      {"reindex", "/s",
+       [&]() -> Result<void> {
+         HAC_RETURN_IF_ERROR(fs.WriteFile("/g.txt", "gamma"));
+         return fs.Reindex();
+       }},
+  };
+  for (const Step& step : steps) {
+    ASSERT_TRUE(fs.StatPath(step.dir).ok());  // the facade has seen the old state
+    ASSERT_TRUE(step.op().ok()) << step.name;
+    EXPECT_TRUE(StatsAgree(fs, step.dir)) << "after " << step.name;
+    EXPECT_TRUE(StatsAgree(fs, "/")) << "after " << step.name;
+  }
+  EXPECT_EQ(fs.StatPath("/s").value().size, 1u);  // the reindexed transient link
 }
 
 }  // namespace

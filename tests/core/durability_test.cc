@@ -523,6 +523,44 @@ TEST(DurabilityTest, UnlinkOneOfTwoPermanentLinksKeepsTheFileLinked) {
   EXPECT_TRUE(report.Clean()) << report.ToString();
 }
 
+// WAL recovery replays every directory mutation through the facade. Afterwards the
+// recovered facade answers each directory's Stat as its VFS does, and keeps doing so
+// for a directory it statted before a further mutation.
+TEST(DurabilityTest, RecoveredDirectoryStatMatchesTheVfs) {
+  DurabilityOptions opts;
+  opts.data_dir = TestDir("RecoveredDirStat");
+  opts.wal_fault = FaultSpec{};
+  {
+    auto store = DurableStore::Open(opts);
+    ASSERT_TRUE(store.ok());
+    auto live = store.value()->Recover();
+    ASSERT_TRUE(live.ok());
+    ASSERT_EQ(RunBatches(*live.value(), *store.value(), 0), Workload().size());
+  }
+  auto store = DurableStore::Open(opts);
+  ASSERT_TRUE(store.ok());
+  auto recovered = store.value()->Recover();
+  ASSERT_TRUE(recovered.ok());
+  ASSERT_GT(store.value()->recovery_info().replayed_records, 0u);
+  HacFileSystem& fs = *recovered.value();
+  auto same = [&fs](const std::string& dir) {
+    auto a = fs.StatPath(dir);
+    auto b = fs.vfs().StatPath(dir);
+    return a.ok() && b.ok() && a.value() == b.value();
+  };
+  for (const char* dir : {"/", "/docs", "/work", "/sem"}) {
+    EXPECT_TRUE(same(dir)) << "after recovery: " << dir;
+  }
+  ASSERT_TRUE(fs.WriteFile("/docs/z.txt", "zeta fingerprint").ok());
+  ASSERT_TRUE(fs.Mkdir("/work/sub").ok());
+  ASSERT_TRUE(fs.Reindex().ok());
+  for (const char* dir : {"/", "/docs", "/work", "/sem"}) {
+    EXPECT_TRUE(same(dir)) << "after mutating the recovered instance: " << dir;
+  }
+  FsckReport report = RunFsck(fs);
+  EXPECT_TRUE(report.Clean()) << report.ToString();
+}
+
 TEST(DurabilityTest, CheckpointsPruneToTwoGenerations) {
   const std::string dir = TestDir("Prune");
   DurabilityOptions opts;

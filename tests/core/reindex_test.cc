@@ -222,7 +222,9 @@ TEST(SpaceAccountingTest, MetadataGrowsWithDirectoriesAndQueries) {
   ASSERT_TRUE(fs.SetQuery("/d0", "fingerprint AND ridge").ok());
   EXPECT_GT(fs.MetadataSizeBytes(), with_dirs);
   // Populate the shared attribute cache so the per-process footprint is visible.
-  ASSERT_TRUE(fs.StatPath("/d0").ok());
+  // Only regular files enter it: directories are answered from their inode.
+  ASSERT_TRUE(fs.WriteFile("/d0/f", "x").ok());
+  ASSERT_TRUE(fs.StatPath("/d0/f").ok());
   EXPECT_GT(fs.SharedMemoryBytesPerProcess(), 0u);
 }
 

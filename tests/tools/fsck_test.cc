@@ -55,6 +55,28 @@ TEST(FsckTest, CleanWithMounts) {
   EXPECT_TRUE(report.Clean()) << report.ToString();
 }
 
+// C8 stats every local directory through both the facade and the VFS. A syntactic
+// mount point is skipped by C3 and C8, since the facade answers for the mounted name
+// space there.
+TEST(FsckTest, DirectoryStatCheckCoversEveryLocalDirectory) {
+  HacFileSystem fs;
+  FileSystem other;
+  ASSERT_TRUE(other.Mkdir("/remote").ok());
+  ASSERT_TRUE(fs.MkdirAll("/a/b/c").ok());
+  ASSERT_TRUE(fs.Mkdir("/m").ok());
+  ASSERT_TRUE(fs.MountSyntactic("/m", &other, "/").ok());
+  for (const char* dir : {"/", "/a", "/a/b", "/a/b/c"}) {
+    ASSERT_TRUE(fs.StatPath(dir).ok());  // the facade has seen the old state
+  }
+  ASSERT_TRUE(fs.Mkdir("/a/b/c/d").ok());
+  ASSERT_TRUE(fs.Rename("/a/b/c/d", "/a/d").ok());
+  const uint64_t vfs_stats = fs.vfs().stats().stats;
+  FsckReport report = RunFsck(fs);
+  EXPECT_TRUE(report.Clean()) << report.ToString();
+  // "/", "/a", "/a/b", "/a/b/c" and "/a/d"; not "/m".
+  EXPECT_EQ(fs.vfs().stats().stats - vfs_stats, 5u);
+}
+
 TEST(FsckTest, DetectsUntrackedSymlinkInjectedUnderneath) {
   HacFileSystem fs;
   ASSERT_TRUE(fs.Mkdir("/d").ok());
